@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -31,7 +32,7 @@ from lpkmeans.core import (
 )
 from lpkmeans.cutplane import SolveConfig, solve_kmeans_lp
 from lpkmeans.generators import GenSpec, generate
-from lpkmeans.lp_model import CutPool, all_cuts, build
+from lpkmeans.lp_model import all_cuts, build
 from lpkmeans.solver import safe_lower_bound, solve
 
 _MASK64 = (1 << 64) - 1
@@ -302,8 +303,7 @@ def cmd_certify(args) -> int:
     if args.cross_check:
         if points.n > 80:
             raise ValueError("--cross-check is limited to n <= 80")
-        pool = CutPool(all_cuts(points.n, 2))
-        lp = build(d, 2, pool)
+        lp = build(d, 2, all_cuts(points.n, 2))
         sol = solve(lp, tol=1e-8)
         x = unpack_matrix(sol.x, points.n)
         cost = kmeans_cost(points, p)
@@ -383,14 +383,11 @@ def cmd_lp_direct(args) -> int:
         raise ValueError(f"K={args.k} exceeds n={n}")
     t = args.t if args.t is not None else min(2, args.k)
     t = min(t, args.k)
-    rows = sum(
-        n * _comb(n - 1, size) for size in range(2, t + 1)
-    )
+    rows = sum(n * math.comb(n - 1, size) for size in range(2, t + 1))
     if n > 300 or rows > 2_000_000:
         raise ValueError(f"direct build infeasible: n={n}, t={t} gives {rows} inequality rows")
     d = squared_distances(points)
-    pool = CutPool(all_cuts(n, t))
-    lp = build(d, args.k, pool)
+    lp = build(d, args.k, all_cuts(n, t))
     sol = solve(lp, tol=args.tol, max_iters=args.max_iters)
     x = unpack_matrix(sol.x, n)
     doc = {
@@ -408,12 +405,6 @@ def cmd_lp_direct(args) -> int:
     }
     _dump_json(doc, args.out)
     return 0 if sol.status == "optimal_to_tol" else 2
-
-
-def _comb(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)
 
 
 # ---------------------------------------------------------------------------

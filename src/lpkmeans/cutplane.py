@@ -26,11 +26,11 @@ from lpkmeans.heuristics import (
     round_lp_solution,
     upper_bound_update,
 )
-from lpkmeans.lp_model import CutPool, FacetInequality, active_cuts, build, violation
+from lpkmeans.lp_model import CutPool, active_cuts, build
 from lpkmeans.separation import separate_exhaustive, separate_greedy
 from lpkmeans.solver import safe_lower_bound, solve, tolerance_schedule
 
-__all__ = ["SolveConfig", "RoundRecord", "SolveTrace", "gap", "drop_slack_cuts", "solve_kmeans_lp"]
+__all__ = ["SolveConfig", "RoundRecord", "SolveTrace", "gap", "solve_kmeans_lp"]
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class RoundRecord:
     time_solve: float
     time_round: float
     time_separate: float
-    pool_snapshot: tuple[FacetInequality, ...] | None = None
+    pool_snapshot: CutPool | None = None
     solution: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
@@ -124,38 +124,20 @@ def gap(f_ub: float, f_lb: float, tol: float = 1e-12) -> float:
     return (f_ub - f_lb) / f_ub
 
 
-def drop_slack_cuts(pool: CutPool, x_lb: np.ndarray, eps_act: float) -> CutPool:
-    """Retain exactly the cuts whose violation at X is within eps_act of zero."""
-    kept = CutPool()
-    activity = []
-    for cut in pool:
-        w = violation(x_lb, cut)
-        if abs(w) <= eps_act:
-            kept.add(cut)
-            activity.append(w)
-    kept.activity = np.array(activity)
-    return kept
-
-
-def _drop_aged_cuts(
-    pool: CutPool, x_lb: np.ndarray, eps_act: float, slack_ages: dict, patience: int
-) -> CutPool:
+def _age_cuts(
+    pool: CutPool, x_lb: np.ndarray, eps_act: float, ages: np.ndarray, patience: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Age-based removal: a cut leaves the pool once it has been slack at the
     solution of ``patience`` consecutive rounds.  Immediate removal (patience
-    one, the textbook rule) can cycle between vertex pools of equal value."""
-    kept = CutPool()
-    for cut in pool:
-        if abs(violation(x_lb, cut)) <= eps_act:
-            slack_ages.pop(cut, None)
-            kept.add(cut)
-            continue
-        age = slack_ages.get(cut, 0) + 1
-        if age >= patience:
-            slack_ages.pop(cut, None)
-        else:
-            slack_ages[cut] = age
-            kept.add(cut)
-    return kept
+    one, the textbook rule) can cycle between vertex pools of equal value.
+
+    ``ages`` counts the consecutive slack rounds of every pool row.  Returns
+    the mask of rows kept and the updated ages of the kept rows.
+    """
+    slack = ~(np.abs(pool.violations(x_lb)) <= eps_act)
+    age = np.where(slack, ages + 1, 0)
+    keep = ~slack | (age < patience)
+    return keep, age[keep]
 
 
 def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, SolveTrace, bool]:
@@ -184,11 +166,12 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
     warm = None
     forced_tol: float | None = None
     tol_ceiling = cfg.lp_tol_start  # ratchets down whenever the bound stalls
-    slack_ages: dict = {}
+    slack_ages = np.zeros(len(pool), dtype=np.int64)  # aligned to the pool rows
+    lp = None
     x_lb = None
 
     for round_idx in range(1, cfg.max_rounds + 1):
-        lp = build(d, k, pool)
+        lp = build(d, k, pool, base=lp)
         if forced_tol is not None:
             lp_tol = forced_tol
         else:
@@ -218,12 +201,13 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
         time_round = time.monotonic() - t0
         f_ub = incumbent[1]
         r_g = gap(f_ub, f_lb)
+        f_lb_reported = max(f_lb, 0.0)  # c >= 0 and x >= 0, so 0 is a valid bound
 
         record = RoundRecord(
             index=round_idx,
-            f_lb=f_lb,
+            f_lb=f_lb_reported,
             f_ub=f_ub,
-            r_g=r_g,
+            r_g=gap(f_ub, f_lb_reported),
             safe_bound=fbar,
             lp_status=sol.status,
             lp_tol=lp_tol,
@@ -237,13 +221,10 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
             time_solve=time_solve,
             time_round=time_round,
             time_separate=0.0,
-            pool_snapshot=pool.cuts() if cfg.keep_pools else None,
+            pool_snapshot=CutPool(pool) if cfg.keep_pools else None,
             solution=(sol.x, sol.y, sol.z) if cfg.keep_pools else None,
         )
         trace.rounds.append(record)
-        if len(trace.rounds) >= 2:
-            prev = trace.rounds[-2]
-            assert f_lb >= prev.f_lb - 1e-15 and f_ub <= prev.f_ub + 1e-15
 
         if r_g <= cfg.eps_opt:
             if lp_tol > cfg.lp_tol_floor:
@@ -254,9 +235,8 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
             trace.status = "converged"
             break
 
-        ages_next = dict(slack_ages)
-        kept = _drop_aged_cuts(
-            pool, x_lb, max(1e-8, 20.0 * lp_tol), ages_next, cfg.drop_patience
+        kept_rows, kept_ages = _age_cuts(
+            pool, x_lb, max(1e-8, 20.0 * lp_tol), slack_ages, cfg.drop_patience
         )
 
         t0 = time.monotonic()
@@ -281,15 +261,10 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
         if not report.cuts:
             trace.status = "no_more_cuts"
             break
+        kept = pool.take(kept_rows)
         record.cuts_removed = len(pool) - len(kept)
-        slack_ages = ages_next
-
-        added = 0
-        for cut, _ in report.sorted_pairs():
-            if added >= p_max:
-                break
-            if kept.add(cut):
-                added += 1
+        added = kept.extend(report.cuts.take(report.order()), limit=p_max)
+        slack_ages = np.concatenate([kept_ages, np.zeros(added, dtype=np.int64)])
         record.cuts_added = added
 
         if record.violated_found < escalation:
@@ -299,8 +274,10 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
             # just churns; ratchet the tolerance down on stalled progress
             tol_ceiling = max(cfg.lp_tol_floor, 0.1 * tol_ceiling)
 
-        old_duals = {cut: sol.z[idx] for idx, cut in enumerate(pool.cuts())}
-        z0 = np.array([old_duals.get(cut, 0.0) for cut in kept])
+        # a cut keeps its dual, also one dropped and separated again
+        old_rows = pool.lookup(kept)
+        z0 = np.zeros(len(kept))
+        z0[old_rows >= 0] = sol.z[old_rows[old_rows >= 0]]
         warm = (sol.x, sol.y, z0)
         pool = kept
     else:
@@ -316,7 +293,7 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
                     trace.tight = True
                     incumbent = upper_bound_update(incumbent, (extracted, cost))
 
-    trace.f_lb = f_lb
+    trace.f_lb = max(f_lb, 0.0)
     trace.f_ub = incumbent[1]
     trace.r_g = gap(trace.f_ub, trace.f_lb)
     trace.total_time = time.monotonic() - t_begin

@@ -3,35 +3,38 @@ greedy set-growing heuristic plus an exhaustive enumeration fallback."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from lpkmeans.lp_model import FacetInequality
+from lpkmeans.lp_model import _ENUM_BUDGET, CutPool, _pad
 
 __all__ = ["SeparationReport", "separate_greedy", "separate_exhaustive"]
-
-_ENUM_BUDGET = 2.8e7
 
 
 @dataclass
 class SeparationReport:
-    cuts: list[FacetInequality] = field(default_factory=list)
-    violations: list[float] = field(default_factory=list)
+    """Violated cuts found, row r of ``cuts`` violated by ``violations[r]``."""
+
+    cuts: CutPool = field(default_factory=CutPool)
+    violations: np.ndarray = field(default_factory=lambda: np.empty(0))
     truncated: bool = False
     exhaustive: bool = False
 
-    def add(self, cut: FacetInequality, w: float) -> None:
-        self.cuts.append(cut)
-        self.violations.append(w)
+    def order(self) -> np.ndarray:
+        """Rows most violated first; ties by (i, S), S compared as a tuple
+        (the -1 padding puts a set before its extensions)."""
+        return np.lexsort((*self.cuts.s.T[::-1], self.cuts.i, -self.violations))
 
-    def sorted_pairs(self) -> list[tuple[FacetInequality, float]]:
-        """Most violated first; ties by (i, S) for reproducibility."""
-        order = sorted(
-            range(len(self.cuts)),
-            key=lambda t: (-self.violations[t], self.cuts[t].sort_key()),
-        )
-        return [(self.cuts[t], self.violations[t]) for t in order]
+
+def _report(chunks: list[tuple], width: int) -> SeparationReport:
+    """Report from chunks (anchors, padded sets, violations) of distinct cuts."""
+    if not chunks:
+        return SeparationReport()
+    anchors, sets, violations = zip(*chunks)
+    cuts = CutPool._of(np.concatenate(anchors), np.concatenate([_pad(s, width) for s in sets]))
+    return SeparationReport(cuts, np.concatenate(violations))
 
 
 def separate_greedy(x: np.ndarray, t_max: int, eps_vio: float = 1e-6) -> SeparationReport:
@@ -44,13 +47,12 @@ def separate_greedy(x: np.ndarray, t_max: int, eps_vio: float = 1e-6) -> Separat
     """
     if t_max < 2:
         raise ValueError("t_max must be >= 2")
-    n = x.shape[0]
-    report = SeparationReport()
     if t_max == 2:
-        _greedy_pairs(x, eps_vio, report)
-        return report
+        return _greedy_pairs(x, eps_vio)
 
+    n = x.shape[0]
     diag = np.diag(x)
+    sets, found = [], []
     for i in range(n):
         xi = x[i]
         for j in range(n):
@@ -74,17 +76,22 @@ def separate_greedy(x: np.ndarray, t_max: int, eps_vio: float = 1e-6) -> Separat
                 s.append(kk)
                 w += gamma[kk - lo]
                 if w > eps_vio:
-                    report.add(FacetInequality(i, tuple(s)), float(w))
+                    sets.append(s + [-1] * (t_max - len(s)))
+                    found.append((i, float(w)))
                 colsum += x[kk]
                 c = kk
-    return report
+    if not found:
+        return SeparationReport()
+    anchors, w = zip(*found)
+    return _report([(np.array(anchors), np.array(sets), np.array(w))], t_max)
 
 
-def _greedy_pairs(x: np.ndarray, eps_vio: float, report: SeparationReport) -> None:
+def _greedy_pairs(x: np.ndarray, eps_vio: float) -> SeparationReport:
     """Vectorized t_max = 2 greedy: for each (i, j) only one k is appended."""
     n = x.shape[0]
     diag = np.diag(x)
     col = np.arange(n)
+    chunks = []
     for i in range(n):
         gamma = x[i][None, :] - x  # gamma[j, k] = X_ik - X_jk
         gamma[:, i] = -np.inf
@@ -92,11 +99,10 @@ def _greedy_pairs(x: np.ndarray, eps_vio: float, report: SeparationReport) -> No
         k_star = gamma.argmax(axis=1)
         best = gamma[np.arange(n), k_star]
         w = x[i] - diag[i] + best
-        valid = np.isfinite(best) & (col != i)
-        for j in np.flatnonzero(valid & (w > eps_vio)):
-            report.add(
-                FacetInequality(i, (int(j), int(k_star[j]))), float(w[j])
-            )
+        j = np.flatnonzero(np.isfinite(best) & (col != i) & (w > eps_vio))
+        if j.size:
+            chunks.append((np.full(j.size, i), np.stack([j, k_star[j]], axis=1), w[j]))
+    return _report(chunks, 2)
 
 
 def separate_exhaustive(
@@ -110,35 +116,36 @@ def separate_exhaustive(
     n = x.shape[0]
     if float(n) ** (t_max + 1) > _ENUM_BUDGET:
         raise ValueError(f"exhaustive separation with t_max={t_max} infeasible for n={n}")
-    report = SeparationReport()
-    report.exhaustive = True
     diag = np.diag(x)
 
+    chunks = []
     ju, ku = np.triu_indices(n, 1)
     for i in range(n):
         w = x[i, ju] + x[i, ku] - diag[i] - x[ju, ku]
         hit = np.flatnonzero((w > eps_vio) & (ju != i) & (ku != i))
-        for f in hit:
-            report.add(FacetInequality(i, (int(ju[f]), int(ku[f]))), float(w[f]))
-
+        if hit.size:
+            chunks.append((np.full(hit.size, i), np.stack([ju[hit], ku[hit]], axis=1), w[hit]))
     if t_max >= 3:
-        _exhaustive_triples(x, eps_vio, report)
+        chunks += _exhaustive_triples(x, eps_vio)
     if t_max >= 4:
-        _exhaustive_large(x, t_max, eps_vio, report)
+        chunks += _exhaustive_large(x, t_max, eps_vio)
 
-    pairs = report.sorted_pairs()
-    if cap is not None and len(pairs) > cap:
+    report = _report(chunks, t_max)
+    order = report.order()
+    if cap is not None and order.size > cap:
         report.truncated = True
-        pairs = pairs[:cap]
-    report.cuts = [c for c, _ in pairs]
-    report.violations = [v for _, v in pairs]
+        order = order[:cap]
+    report.cuts = report.cuts.take(order)
+    report.violations = report.violations[order]
+    report.exhaustive = True
     return report
 
 
-def _exhaustive_triples(x: np.ndarray, eps_vio: float, report: SeparationReport) -> None:
+def _exhaustive_triples(x: np.ndarray, eps_vio: float) -> list[tuple]:
     n = x.shape[0]
     diag = np.diag(x)
     col = np.arange(n)
+    chunks = []
     for i in range(n):
         xi = x[i]
         for j in range(n - 2):
@@ -152,17 +159,16 @@ def _exhaustive_triples(x: np.ndarray, eps_vio: float, report: SeparationReport)
             w[:, bad] = -np.inf
             w[col[:, None] >= col[None, :]] = -np.inf  # k < l
             kk, ll = np.nonzero(w > eps_vio)
-            for a, b in zip(kk, ll):
-                report.add(
-                    FacetInequality(i, (j, int(a), int(b))), float(w[a, b])
-                )
+            if kk.size:
+                sets = np.stack([np.full(kk.size, j), kk, ll], axis=1)
+                chunks.append((np.full(kk.size, i), sets, w[kk, ll]))
+    return chunks
 
 
-def _exhaustive_large(x: np.ndarray, t_max: int, eps_vio: float, report: SeparationReport) -> None:
-    import itertools
-
+def _exhaustive_large(x: np.ndarray, t_max: int, eps_vio: float) -> list[tuple]:
     n = x.shape[0]
     diag = np.diag(x)
+    chunks = []
     for i in range(n):
         others = [v for v in range(n) if v != i]
         for size in range(4, t_max + 1):
@@ -170,4 +176,5 @@ def _exhaustive_large(x: np.ndarray, t_max: int, eps_vio: float, report: Separat
                 idx = np.array(s)
                 w = float(x[i, idx].sum()) - diag[i] - float(np.triu(x[np.ix_(idx, idx)], 1).sum())
                 if w > eps_vio:
-                    report.add(FacetInequality(i, s), w)
+                    chunks.append((np.array([i]), idx[None, :], np.array([w])))
+    return chunks

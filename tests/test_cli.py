@@ -88,6 +88,18 @@ def test_solve_singletons_exit_zero(tmp_path, capsys):
     assert doc["tight"] is True
 
 
+@pytest.mark.parametrize(
+    "rows", [["0,0"] * 5 + ["1,1"] * 5, ["2,3"] * 10], ids=["two-groups", "all-identical"]
+)
+def test_solve_zero_cost_exit_zero(tmp_path, capsys, rows):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("\n".join(rows) + "\n")
+    code, out, _ = run_cli(capsys, "solve", "--input", str(pts), "--k", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["f_ub"] == 0.0 and doc["f_lb"] == 0.0 and doc["r_g"] == 0.0
+
+
 def test_solve_ssm_recovers_planted(tmp_path, capsys):
     pts = tmp_path / "ssm.csv"
     labels = tmp_path / "ssm.labels.csv"

@@ -7,9 +7,9 @@ from lpkmeans.core import (
     same_partition,
     squared_distances,
 )
-from lpkmeans.cutplane import SolveConfig, drop_slack_cuts, gap, solve_kmeans_lp
+from lpkmeans.cutplane import SolveConfig, _age_cuts, gap, solve_kmeans_lp
 from lpkmeans.generators import GenSpec, generate
-from lpkmeans.lp_model import CutPool, FacetInequality, all_cuts, build, violation
+from lpkmeans.lp_model import CutPool, all_cuts, build, violation
 from lpkmeans.solver import solve
 
 from conftest import random_points
@@ -28,6 +28,13 @@ def test_gap_values():
     assert gap(0.0, -1.0) == np.inf
 
 
+def drop_slack_cuts(pool: CutPool, x: np.ndarray, eps_act: float) -> CutPool:
+    """The aging step with patience one: every slack cut leaves at once."""
+    keep, ages = _age_cuts(pool, x, eps_act, np.zeros(len(pool), dtype=np.int64), patience=1)
+    assert not ages.any()
+    return pool.take(keep)
+
+
 def test_drop_slack_cuts(five_point):
     _, planted, d = five_point
     pool = CutPool(all_cuts(5, 2))
@@ -44,6 +51,20 @@ def test_drop_slack_cuts(five_point):
     assert len(drop_slack_cuts(pool, x, 1e9)) == len(pool)
     none_tight = drop_slack_cuts(pool, np.eye(5), 1e-9)
     assert all(abs(violation(np.eye(5), c)) <= 1e-9 for c in none_tight)
+
+
+def test_age_cuts_patience():
+    x = np.full((3, 3), 1 / 3)  # every pair cut is tight
+    pool = CutPool(all_cuts(3, 2))
+    y = x.copy()
+    y[0, 0] = 0.5  # only the cut anchored at 0, row 0, turns slack
+    ages = np.array([0, 0, 5])
+    keep, kept_ages = _age_cuts(pool, y, 1e-9, ages, patience=2)
+    assert keep.tolist() == [True, True, True]
+    assert kept_ages.tolist() == [1, 0, 0]  # a tight cut's age resets
+    keep, kept_ages = _age_cuts(pool, y, 1e-9, np.array([1, 0, 0]), patience=2)
+    assert keep.tolist() == [False, True, True]
+    assert kept_ages.tolist() == [0, 0]
 
 
 def test_five_point_run(five_point):
@@ -102,6 +123,42 @@ def test_cutting_plane_matches_direct_solve():
         lp = build(d, k, CutPool(all_cuts(n, k)))
         ref = solve(lp, tol=1e-9)
         assert abs(trace.f_lb - ref.objective) <= 1e-5 * (1 + abs(ref.objective))
+
+
+@pytest.mark.parametrize("coords", [
+    np.vstack([np.zeros((5, 2)), np.ones((5, 2))]),  # two groups of 5 identical points
+    np.full((10, 2), 3.0),  # all points identical
+], ids=["two-groups", "all-identical"])
+def test_zero_cost_bounds_clamped(coords):
+    p, trace, _ = solve_kmeans_lp(PointSet(coords), SolveConfig(k=2, seed=1))
+    assert trace.f_ub == 0.0 and kmeans_cost(PointSet(coords), p) == 0.0
+    # a PDHG dual bound may dip just below 0; the reported bound may not
+    assert trace.f_lb == 0.0 and trace.r_g == 0.0
+    assert all(r.f_lb == 0.0 and r.r_g == 0.0 for r in trace.rounds)
+
+
+# Uniform points whose K = 3 solve mixes |S| = 2 and |S| = 3 cuts in one pool,
+# through LP assembly, cut aging and the warm-start dual remap.  Bounds and
+# assignment are those of the solver with a per-cut object pool.
+K3_MIXED = {
+    "escalate": (dict(), 1.4836915731227691, 1.483691598992277),
+    "t_start3": (dict(t_start=3), 1.4836915726407927, 1.483691598992277),
+}
+
+
+@pytest.mark.parametrize("case", sorted(K3_MIXED))
+def test_mixed_size_pool_k3_regression(case):
+    overrides, f_lb, f_ub = K3_MIXED[case]
+    points = PointSet(np.random.default_rng(110).uniform(size=(18, 2)))
+    cfg = SolveConfig(k=3, seed=10, keep_pools=True, **overrides)
+    p, trace, tight = solve_kmeans_lp(points, cfg)
+    assert trace.status == "converged" and tight
+    assert trace.f_lb == pytest.approx(f_lb, rel=1e-12)
+    assert trace.f_ub == pytest.approx(f_ub, rel=1e-12)
+    assert p.assign.tolist() == [2, 2, 0, 0, 0, 2, 0, 1, 1, 2, 1, 1, 1, 1, 1, 2, 0, 2]
+    mixed = [r for r in trace.rounds if {len(c.s) for c in r.pool_snapshot} == {2, 3}]
+    assert len(mixed) >= 2
+    assert trace.rounds[-1].t_max == 3
 
 
 def test_keep_pools_snapshots(five_point):
