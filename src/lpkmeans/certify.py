@@ -25,6 +25,8 @@ __all__ = [
     "certify",
 ]
 
+# A margin counts as strictly positive above this fraction of the largest
+# mean cross-cluster distance, so the verdict does not depend on units.
 _STRICT_MARGIN = 1e-9
 
 
@@ -132,7 +134,11 @@ def two_cluster_stats(d: np.ndarray, p: Partition) -> TwoClusterStats:
 def _pair_slacks(d: np.ndarray, stats: TwoClusterStats) -> tuple[np.ndarray, np.ndarray]:
     """Slack of the pairwise condition for every within-cluster pair:
     mean_k min(r d_ik + d_in_j, r d_jk + d_in_i) - d_ij - threshold,
-    averaging over the opposite cluster with its size ratio r."""
+    averaging over the opposite cluster with its size ratio r.
+
+    With u = r d_cross - d_in[:, None], the minimum is
+    d_in_i + d_in_j + min(u_ik, u_jk), so each row a is one elementwise
+    minimum into a reused buffer and one mean; ``d`` is never written."""
     out: list[np.ndarray] = []
     for c in (0, 1):
         own = stats.clusters[c]
@@ -143,15 +149,21 @@ def _pair_slacks(d: np.ndarray, stats: TwoClusterStats) -> tuple[np.ndarray, np.
         if sz < 2:
             out.append(np.empty(0))
             continue
-        cross = ratio * d[np.ix_(own, other)]
         din = stats.d_in[own]
-        d_own = d[np.ix_(own, own)]
+        u = d[np.ix_(own, other)]  # fancy indexing copies, so u may be overwritten
+        u *= ratio
+        u -= din[:, None]
+        buf = np.empty((sz - 1, other.size))
         slack = np.empty(sz * (sz - 1) // 2)
         pos = 0
         for a in range(sz - 1):
-            rows = np.minimum(cross[a][None, :] + din[a + 1 :, None], cross[a + 1 :] + din[a])
             count = sz - a - 1
-            slack[pos : pos + count] = rows.mean(axis=1) - d_own[a, a + 1 :] - threshold
+            row = slack[pos : pos + count]
+            np.minimum(u[a], u[a + 1 :], out=buf[:count]).mean(axis=1, out=row)
+            row += din[a]
+            row += din[a + 1 :]
+            row -= d[own[a], own[a + 1 :]]
+            row -= threshold
             pos += count
         out.append(slack)
     return out[0], out[1]
@@ -167,7 +179,7 @@ def proximity_check(d: np.ndarray, p: Partition) -> ProximityReport:
     worst = min(margin_small, margin_large)
     if worst < 0.0:
         verdict = "fails"
-    elif worst > _STRICT_MARGIN:
+    elif worst > _STRICT_MARGIN * float(stats.d_out.max()):
         verdict = "holds_strict"
     else:
         verdict = "holds"

@@ -160,7 +160,7 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
     pool = active_cuts(partition_matrix(incumbent[0]), 2, cap=p_init, seed=cfg.seed)
     trace.time_init = time.monotonic() - t_begin
 
-    f_lb = -np.inf
+    f_lb = 0.0  # c >= 0 and x >= 0, so 0 is a valid bound
     r_g = np.inf
     t_max = cfg.t_start
     warm = None
@@ -201,13 +201,12 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
         time_round = time.monotonic() - t0
         f_ub = incumbent[1]
         r_g = gap(f_ub, f_lb)
-        f_lb_reported = max(f_lb, 0.0)  # c >= 0 and x >= 0, so 0 is a valid bound
 
         record = RoundRecord(
             index=round_idx,
-            f_lb=f_lb_reported,
+            f_lb=f_lb,
             f_ub=f_ub,
-            r_g=gap(f_ub, f_lb_reported),
+            r_g=r_g,
             safe_bound=fbar,
             lp_status=sol.status,
             lp_tol=lp_tol,
@@ -293,7 +292,7 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
                     trace.tight = True
                     incumbent = upper_bound_update(incumbent, (extracted, cost))
 
-    trace.f_lb = max(f_lb, 0.0)
+    trace.f_lb = f_lb
     trace.f_ub = incumbent[1]
     trace.r_g = gap(trace.f_ub, trace.f_lb)
     trace.total_time = time.monotonic() - t_begin

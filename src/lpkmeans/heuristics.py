@@ -18,13 +18,10 @@ class LloydConfig:
     max_iters: int = 100
     restarts: int = 10
     seed: int = 0
-    empty_cluster_policy: str = "reseed_farthest"
 
     def __post_init__(self):
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
-        if self.empty_cluster_policy != "reseed_farthest":
-            raise ValueError(f"unknown empty cluster policy {self.empty_cluster_policy!r}")
 
 
 def _distances_to_centers(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:

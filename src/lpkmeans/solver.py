@@ -41,7 +41,6 @@ class LpSolution:
     y: np.ndarray
     z: np.ndarray
     primal_residual: float
-    dual_residual: float
     gap: float
     status: str
     iterations: int
@@ -130,18 +129,18 @@ def _ruiz_and_pock_chambolle(kmat: sp.csr_matrix, ruiz_iters: int = 8,
 
 def _kkt_measures(lp: LpStandardForm, kmat: sp.csr_matrix, kmat_t: sp.csr_matrix,
                   q: np.ndarray, me: int, x: np.ndarray, yin: np.ndarray):
-    """Relative primal residual, dual residual, and gap on the original data."""
+    """Relative primal residual and gap on the original data.  The boxes are
+    finite, so bound multipliers absorb the reduced cost exactly and the dual
+    residual is zero by construction."""
     kx = kmat @ x
     res = q - kx
     res[me:] = np.maximum(res[me:], 0.0)  # >=-form rows: only shortfall counts
     pr = np.linalg.norm(res) / (1.0 + np.linalg.norm(lp.b_eq))
     reduced = lp.c - kmat_t @ yin
-    # finite boxes absorb the reduced cost into bound multipliers exactly
-    dr = 0.0
     pobj = float(lp.c @ x)
     dobj = float(yin[:me] @ lp.b_eq + np.minimum(reduced, 0.0) @ lp.ub)
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    return pr, dr, gap, pobj, dobj
+    return pr, gap, pobj, dobj
 
 
 def solve(
@@ -213,11 +212,11 @@ def solve(
     def finalize(xv: np.ndarray, yv: np.ndarray, status: str, iters: int) -> LpSolution:
         x_u = xv * dc
         y_u = yv * dr
-        pr, drr, gap, pobj, _ = _kkt_measures(lp, k_orig, k_orig_t, q_rhs, me, x_u, y_u)
+        pr, gap, pobj, _ = _kkt_measures(lp, k_orig, k_orig_t, q_rhs, me, x_u, y_u)
         z = -np.maximum(y_u[me:], 0.0)
         return LpSolution(
             x=x_u, y=y_u[:me], z=z,
-            primal_residual=pr, dual_residual=drr, gap=gap,
+            primal_residual=pr, gap=gap,
             status=status, iterations=iters, objective=pobj,
         )
 
@@ -256,10 +255,10 @@ def solve(
 
             # termination on the original problem, for current and averaged
             for xv, yv in ((x, yin), (x_bar, y_bar)):
-                pr, drr, gap, _, _ = _kkt_measures(
+                pr, gap, _, _ = _kkt_measures(
                     lp, k_orig, k_orig_t, q_rhs, me, xv * dc, yv * dr
                 )
-                if max(pr, drr, gap) <= tol:
+                if max(pr, gap) <= tol:
                     return finalize(xv, yv, "optimal_to_tol", iterations)
 
             if iterations >= max_iters:

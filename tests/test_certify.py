@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpkmeans.certify import (
     PairValues,
@@ -149,6 +151,57 @@ def test_gamma_matches_oracle_random():
             assert mine[key] == pytest.approx(v, abs=1e-12)
 
 
+@st.composite
+def two_cluster_instances(draw):
+    """Points in two clusters of random, possibly unequal sizes down to a
+    single point, some of them duplicates of others."""
+    sizes = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    n = sum(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coords = rng.normal(scale=2.0 ** draw(st.integers(-3, 3)), size=(n, 2))
+    for _ in range(draw(st.integers(0, n // 2))):
+        src, dst = rng.integers(n, size=2)
+        coords[dst] = coords[src]
+    assign = rng.permutation(np.repeat([0, 1], sizes))
+    return squared_distances(PointSet(coords)), assign
+
+
+@settings(max_examples=80, deadline=None)
+@given(two_cluster_instances())
+def test_gamma_kernel_matches_oracle_and_keeps_d(instance):
+    d, assign = instance
+    p = Partition(2, assign)
+    d_before = d.copy()
+    mine = pair_dict(gamma_values(d, p))
+    assert np.array_equal(d, d_before)
+    proximity_check(d, p)
+    assert np.array_equal(d, d_before)
+    _, _, _, _, expected = oracle_stats_and_gamma(d, assign)
+    assert set(mine) == set(expected)
+    tol = 1e-12 * (1.0 + d.max())
+    for key, v in expected.items():
+        assert abs(mine[key] - v) <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 40), st.sampled_from([1.9, 2.25, 2.6]), st.integers(-20, 20))
+def test_gamma_and_certify_exact_under_power_of_four_scaling(seed, delta, j):
+    # scaling coordinates by 2**j scales d by 4**j; every operation on the
+    # way to gamma and through the repair loop commutes with that exactly
+    pts, planted = generate(GenSpec("sbm", n=90, m=2, delta=delta, r1=1.0, seed=seed))
+    d = squared_distances(pts)
+    scale = 4.0**j
+    g = gamma_values(d, planted)
+    g_scaled = gamma_values(scale * d, planted)
+    for c in (0, 1):
+        assert np.array_equal(g_scaled.values[c], scale * g.values[c])
+    ref = certify(g, planted)
+    got = certify(g_scaled, planted)
+    assert got.success == ref.success and got.failed_pair == ref.failed_pair
+    assert got.deficit == scale * ref.deficit
+    assert got.lam == {key: scale * v for key, v in ref.lam.items()}
+
+
 def test_gamma_closed_form_coincident_clusters():
     # two coincident pairs separated by distance sqrt(D): within-cluster
     # distances vanish, eta = 0, and every within-pair gamma is exactly 2 D
@@ -190,6 +243,19 @@ def test_proximity_well_separated_holds_strict():
         rep = proximity_check(squared_distances(pts), planted)
         hits += rep.verdict == "holds_strict"
     assert hits >= 18
+
+
+def test_proximity_verdict_invariant_under_scaling():
+    # margins of ~8 at unit scale; at coordinate scale 2**-20 they are ~7e-12,
+    # below an absolute strictness threshold of 1e-9
+    pts, planted = generate(GenSpec("sbm", n=60, m=2, delta=4.0, r1=1.0, seed=3))
+    ref = proximity_check(squared_distances(pts), planted)
+    assert ref.verdict == "holds_strict"
+    for j in (-10, -20, 10):
+        rep = proximity_check(squared_distances(PointSet(pts.coords * 2.0**j)), planted)
+        assert rep.verdict == "holds_strict"
+        assert rep.margin_small == 4.0**j * ref.margin_small
+        assert rep.margin_large == 4.0**j * ref.margin_large
 
 
 def test_proximity_overlapping_fails():

@@ -135,6 +135,9 @@ def test_zero_cost_bounds_clamped(coords):
     # a PDHG dual bound may dip just below 0; the reported bound may not
     assert trace.f_lb == 0.0 and trace.r_g == 0.0
     assert all(r.f_lb == 0.0 and r.r_g == 0.0 for r in trace.rounds)
+    # the clamped bound closes the gap in round 1: only the confirm solve follows
+    assert trace.status == "converged"
+    assert not any(r.exhaustive for r in trace.rounds)
 
 
 # Uniform points whose K = 3 solve mixes |S| = 2 and |S| = 3 cuts in one pool,

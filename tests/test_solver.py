@@ -120,7 +120,7 @@ def test_safe_bound_residual_free_cases():
 
     sol = LpSolution(
         x=np.array([1.0]), y=np.array([0.5]), z=np.zeros(0),
-        primal_residual=0, dual_residual=0, gap=0, status="optimal_to_tol",
+        primal_residual=0, gap=0, status="optimal_to_tol",
         iterations=0, objective=1.0,
     )
     # feasible dual (r = 0): bound equals y.b
@@ -136,7 +136,7 @@ def test_safe_bound_zero_dual_nonnegative_costs(five_point):
 
     sol = LpSolution(
         x=np.zeros(lp.n_vars), y=np.zeros(6), z=np.zeros(30),
-        primal_residual=0, dual_residual=0, gap=0, status="optimal_to_tol",
+        primal_residual=0, gap=0, status="optimal_to_tol",
         iterations=0, objective=0.0,
     )
     assert safe_lower_bound(lp, sol) == 0.0
