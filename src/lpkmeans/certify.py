@@ -8,6 +8,8 @@ local index pair to its slot.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +30,13 @@ __all__ = [
 # A margin counts as strictly positive above this fraction of the largest
 # mean cross-cluster distance, so the verdict does not depend on units.
 _STRICT_MARGIN = 1e-9
+
+# Pair-slack tiling: rows per block, the byte budget of one thread's minimum
+# buffer (within a core's L2 cache), and the element operations below which
+# a cluster is done inline because starting threads would cost more.
+_ROW_BLOCK = 8
+_TILE_BYTES = 2**20
+_INLINE_WORK = 2**20
 
 
 @dataclass(frozen=True)
@@ -131,14 +140,30 @@ def two_cluster_stats(d: np.ndarray, p: Partition) -> TwoClusterStats:
     return TwoClusterStats(r1=r1, r2=r2, d_in=d_in, d_out=d_out, eta=eta, clusters=(g1, g2))
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity masks
+        return os.cpu_count() or 1
+
+
 def _pair_slacks(d: np.ndarray, stats: TwoClusterStats) -> tuple[np.ndarray, np.ndarray]:
     """Slack of the pairwise condition for every within-cluster pair:
     mean_k min(r d_ik + d_in_j, r d_jk + d_in_i) - d_ij - threshold,
     averaging over the opposite cluster with its size ratio r.
 
     With u = r d_cross - d_in[:, None], the minimum is
-    d_in_i + d_in_j + min(u_ik, u_jk), so each row a is one elementwise
-    minimum into a reused buffer and one mean; ``d`` is never written."""
+    d_in_i + d_in_j + min(u_ik, u_jk).  Rows a come in blocks of
+    ``_ROW_BLOCK``; each block is swept over column chunks b sized so that
+    the (block, chunk, m_other) minimum buffer stays within ``_TILE_BYTES``,
+    and every tile is one elementwise minimum and one ``add.reduce`` over k.
+    Row blocks are shared round-robin by up to one thread per usable CPU
+    (inline when the work is small).  Each row is reduced over its full
+    length and divided by m_other exactly as ``mean`` does, and is written
+    by one thread only, so the slacks are bit for bit those of a per-row
+    ``np.minimum(u[a], u[a+1:]).mean(axis=1)`` whatever the thread count;
+    ``d`` is never written."""
     out: list[np.ndarray] = []
     for c in (0, 1):
         own = stats.clusters[c]
@@ -149,31 +174,53 @@ def _pair_slacks(d: np.ndarray, stats: TwoClusterStats) -> tuple[np.ndarray, np.
         if sz < 2:
             out.append(np.empty(0))
             continue
+        m = other.size
         din = stats.d_in[own]
         u = d[np.ix_(own, other)]  # fancy indexing copies, so u may be overwritten
         u *= ratio
         u -= din[:, None]
-        buf = np.empty((sz - 1, other.size))
         slack = np.empty(sz * (sz - 1) // 2)
-        pos = 0
-        for a in range(sz - 1):
-            count = sz - a - 1
-            row = slack[pos : pos + count]
-            np.minimum(u[a], u[a + 1 :], out=buf[:count]).mean(axis=1, out=row)
-            row += din[a]
-            row += din[a + 1 :]
-            row -= d[own[a], own[a + 1 :]]
-            row -= threshold
-            pos += count
+        starts = range(0, sz - 1, _ROW_BLOCK)
+        chunk = max(1, _TILE_BYTES // (8 * _ROW_BLOCK * m))
+        workers = 1 if sz * sz * m / 2 < _INLINE_WORK else min(_worker_count(), len(starts))
+        # Each worker's buffers are allocated here, so the threads allocate
+        # nothing that their own malloc arenas would keep resident.
+        scratch = [
+            (np.empty(_ROW_BLOCK * chunk * m), np.empty((_ROW_BLOCK, sz)), np.empty(sz))
+            for _ in range(workers)
+        ]
+
+        def sweep(worker: int) -> None:
+            buf, sums, d_ab = scratch[worker]
+            for a0 in starts[worker::workers]:
+                a1 = min(a0 + _ROW_BLOCK, sz - 1)
+                for b0 in range(a0 + 1, sz, chunk):
+                    b1 = min(b0 + chunk, sz)
+                    tile = buf[: (a1 - a0) * (b1 - b0) * m].reshape(a1 - a0, b1 - b0, m)
+                    np.minimum(u[a0:a1, None, :], u[None, b0:b1, :], out=tile)
+                    np.add.reduce(tile, axis=2, out=sums[: a1 - a0, b0:b1])
+                for a in range(a0, a1):
+                    count = sz - a - 1
+                    pos = a * sz - a * (a + 1) // 2
+                    row = slack[pos : pos + count]
+                    np.divide(sums[a - a0, a + 1 :], m, out=row)
+                    row += din[a]
+                    row += din[a + 1 :]
+                    # mode="clip" (the indices are in range) lets take write
+                    # straight into out instead of through a temporary
+                    row -= np.take(d[own[a]], own[a + 1 :], out=d_ab[:count], mode="clip")
+                    row -= threshold
+
+        if workers == 1:
+            sweep(0)
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                list(pool.map(sweep, range(workers)))
         out.append(slack)
     return out[0], out[1]
 
 
-def proximity_check(d: np.ndarray, p: Partition) -> ProximityReport:
-    """Evaluate the pairwise sufficient condition; a strictly positive margin
-    additionally certifies uniqueness of the optimal solution."""
-    stats = two_cluster_stats(d, p)
-    s1, s2 = _pair_slacks(d, stats)
+def _proximity_report(stats: TwoClusterStats, s1: np.ndarray, s2: np.ndarray) -> ProximityReport:
     margin_small = float(s1.min()) if s1.size else np.inf
     margin_large = float(s2.min()) if s2.size else np.inf
     worst = min(margin_small, margin_large)
@@ -186,11 +233,27 @@ def proximity_check(d: np.ndarray, p: Partition) -> ProximityReport:
     return ProximityReport(verdict, margin_small, margin_large, stats)
 
 
+def proximity_check(d: np.ndarray, p: Partition) -> ProximityReport:
+    """Evaluate the pairwise sufficient condition; a strictly positive margin
+    additionally certifies uniqueness of the optimal solution."""
+    stats = two_cluster_stats(d, p)
+    return _proximity_report(stats, *_pair_slacks(d, stats))
+
+
 def gamma_values(d: np.ndarray, p: Partition) -> PairValues:
     """Per-pair slack values, scaled by two, feeding the certificate repair."""
     stats = two_cluster_stats(d, p)
     s1, s2 = _pair_slacks(d, stats)
     return PairValues(clusters=stats.clusters, values=(2.0 * s1, 2.0 * s2))
+
+
+def _proximity_and_gamma(d: np.ndarray, p: Partition) -> tuple[ProximityReport, PairValues]:
+    """``proximity_check`` and ``gamma_values`` from one evaluation of the
+    slacks: the margins are the minima of gamma / 2."""
+    stats = two_cluster_stats(d, p)
+    s1, s2 = _pair_slacks(d, stats)
+    values = PairValues(clusters=stats.clusters, values=(2.0 * s1, 2.0 * s2))
+    return _proximity_report(stats, s1, s2), values
 
 
 def certify(gamma: PairValues, p: Partition, audit: bool = False) -> CertifyState:

@@ -292,10 +292,11 @@ def _pair_violations(x: np.ndarray, i: int, ju: np.ndarray, ku: np.ndarray) -> n
 
 def _sample_without_replacement(rng: np.random.Generator, total: int, size: int) -> np.ndarray:
     """Floyd's algorithm: uniform size-subset of range(total) without
-    materializing the range."""
+    materializing the range.  Step j's draw from [0, j] is taken in one
+    vectorised call, which yields the same draws as one call per step."""
     chosen: set[int] = set()
-    for j in range(total - size, total):
-        t = int(rng.integers(0, j + 1))
+    draws = rng.integers(0, np.arange(total - size, total) + 1).tolist()
+    for j, t in zip(range(total - size, total), draws):
         chosen.add(j if t in chosen else t)
     return np.array(sorted(chosen), dtype=np.int64)
 

@@ -1,12 +1,17 @@
+import dataclasses
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lpkmeans.certify
 from lpkmeans.certify import (
     PairValues,
+    _pair_slacks,
     certify,
     gamma_values,
     proximity_check,
@@ -152,10 +157,10 @@ def test_gamma_matches_oracle_random():
 
 
 @st.composite
-def two_cluster_instances(draw):
+def two_cluster_instances(draw, max_size=8):
     """Points in two clusters of random, possibly unequal sizes down to a
     single point, some of them duplicates of others."""
-    sizes = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    sizes = (draw(st.integers(1, max_size)), draw(st.integers(1, max_size)))
     n = sum(sizes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     coords = rng.normal(scale=2.0 ** draw(st.integers(-3, 3)), size=(n, 2))
@@ -200,6 +205,117 @@ def test_gamma_and_certify_exact_under_power_of_four_scaling(seed, delta, j):
     assert got.success == ref.success and got.failed_pair == ref.failed_pair
     assert got.deficit == scale * ref.deficit
     assert got.lam == {key: scale * v for key, v in ref.lam.items()}
+
+
+def row_kernel_slacks(d, stats):
+    """The untiled single-thread kernel: one elementwise minimum and one
+    mean per row a over the rows b > a; the reference for bit identity."""
+    out = []
+    for c in (0, 1):
+        own = stats.clusters[c]
+        other = stats.clusters[1 - c]
+        ratio = stats.r2 if c == 0 else stats.r1
+        threshold = stats.eta if c == 0 else (stats.r1 / stats.r2) * stats.eta
+        sz = own.size
+        if sz < 2:
+            out.append(np.empty(0))
+            continue
+        din = stats.d_in[own]
+        u = d[np.ix_(own, other)]
+        u *= ratio
+        u -= din[:, None]
+        buf = np.empty((sz - 1, other.size))
+        slack = np.empty(sz * (sz - 1) // 2)
+        pos = 0
+        for a in range(sz - 1):
+            count = sz - a - 1
+            row = slack[pos : pos + count]
+            np.minimum(u[a], u[a + 1 :], out=buf[:count]).mean(axis=1, out=row)
+            row += din[a]
+            row += din[a + 1 :]
+            row -= d[own[a], own[a + 1 :]]
+            row -= threshold
+            pos += count
+        out.append(slack)
+    return out[0], out[1]
+
+
+class ThreadStarts:
+    """Counts threads started while installed on ``threading.Thread``."""
+
+    def __init__(self, mp):
+        self.count = 0
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            self.count += 1
+            start(thread)
+
+        mp.setattr(threading.Thread, "start", counting_start)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # up to 40 points per cluster: several row blocks of 8, the last partial
+    two_cluster_instances(max_size=40),
+    # 5 workers on fewer cores, with a short switch interval, interleave the
+    # threads' writes into the shared output as finely as they can be
+    st.sampled_from([1, 2, 5]),
+    # 2**20 leaves one column chunk per row block at these sizes; the
+    # smaller budgets split each block's columns into several chunks,
+    # the last of them partial
+    st.sampled_from([0, 2**9, 2**12, 2**20]),
+)
+def test_tiled_slacks_bit_identical_to_row_kernel(instance, workers, tile_bytes):
+    d, assign = instance
+    stats = two_cluster_stats(d, Partition(2, assign))
+    d_before = d.copy()
+    expected = row_kernel_slacks(d, stats)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpkmeans.certify, "_worker_count", lambda: workers)
+        mp.setattr(lpkmeans.certify, "_INLINE_WORK", 0)
+        mp.setattr(lpkmeans.certify, "_TILE_BYTES", tile_bytes)
+        starts = ThreadStarts(mp)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _pair_slacks(d, stats)
+        finally:
+            sys.setswitchinterval(interval)
+    assert np.array_equal(d, d_before)
+    for c in (0, 1):
+        assert got[c].shape == expected[c].shape
+        assert np.array_equal(got[c], expected[c])
+    # an idle pool thread may take a second row share instead of a new
+    # thread starting, so only the bounds on the count are fixed
+    blocks = [-(-(size - 1) // lpkmeans.certify._ROW_BLOCK) for size in np.bincount(assign)]
+    pools = [min(workers, b) for b in blocks if min(workers, b) > 1]
+    assert len(pools) <= starts.count <= sum(pools)
+
+
+def test_small_certify_starts_no_thread(monkeypatch):
+    # sbm n=100 is below the inline threshold, even where threads are allowed
+    pts, planted = generate(GenSpec("sbm", n=100, m=2, delta=2.3, r1=1.0, seed=1))
+    d = squared_distances(pts)
+    monkeypatch.setattr(lpkmeans.certify, "_worker_count", lambda: 2)
+    starts = ThreadStarts(monkeypatch)
+    proximity_check(d, planted)
+    certify(gamma_values(d, planted), planted)
+    assert starts.count == 0
+
+
+def test_tiled_slacks_worker_error_propagates(monkeypatch):
+    # a threshold that does not broadcast against a row fails only where a
+    # worker thread subtracts it
+    pts, planted = generate(GenSpec("sbm", n=60, m=2, delta=2.3, r1=1.0, seed=1))
+    d = squared_distances(pts)
+    stats = dataclasses.replace(two_cluster_stats(d, planted), eta=np.zeros(3))
+    monkeypatch.setattr(lpkmeans.certify, "_worker_count", lambda: 2)
+    monkeypatch.setattr(lpkmeans.certify, "_INLINE_WORK", 0)
+    starts = ThreadStarts(monkeypatch)
+    with pytest.raises(ValueError, match="broadcast"):
+        _pair_slacks(d, stats)
+    assert starts.count >= 1
 
 
 def test_gamma_closed_form_coincident_clusters():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import lpkmeans.certify
 from lpkmeans.cli import main, mix_seed, read_labels_csv, read_points_csv
 
 F_KMEANS = 146.0 / 72.0
@@ -161,6 +162,28 @@ def test_certify_command(tmp_path, capsys):
     assert "proximity: holds_strict" in out
     assert "certificate: success" in out
     assert "partition matrix: True" in out
+
+
+def test_certify_command_computes_slacks_once(tmp_path, capsys, monkeypatch):
+    pts = tmp_path / "s.csv"
+    run_cli(
+        capsys, "generate", "--model", "sbm", "--n", "40", "--m", "2",
+        "--delta", "2.3", "--r1", "1.0", "--seed", "3", "--out", str(pts),
+    )
+    calls = []
+    pair_slacks = lpkmeans.certify._pair_slacks
+
+    def counting(d, stats):
+        calls.append(d.shape)
+        return pair_slacks(d, stats)
+
+    monkeypatch.setattr(lpkmeans.certify, "_pair_slacks", counting)
+    code, out, _ = run_cli(
+        capsys, "certify", "--input", str(pts), "--labels", str(tmp_path / "s.labels.csv")
+    )
+    assert code in (0, 2)
+    assert out.startswith("proximity: ") and "certificate: " in out
+    assert calls == [(40, 40)]
 
 
 def test_certify_failure_exit_code(tmp_path, capsys):

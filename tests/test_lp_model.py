@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpkmeans.core import (
     Partition,
@@ -15,6 +17,7 @@ from lpkmeans.lp_model import (
     CutPool,
     FacetInequality,
     active_cuts,
+    _sample_without_replacement,
     all_cuts,
     build,
     violation,
@@ -189,6 +192,36 @@ def test_active_cuts_sampling_deterministic_and_capped():
     assert [c.sort_key() for c in capped_a] != [c.sort_key() for c in capped_c]
     keys = {c.sort_key() for c in full}
     assert all(c.sort_key() in keys for c in capped_a)
+
+
+def floyd_one_draw_per_step(rng, total, size):
+    """Floyd's sampling with one ``rng.integers`` call per step: the
+    reference for the vectorised draw."""
+    chosen = set()
+    for j in range(total - size, total):
+        t = int(rng.integers(0, j + 1))
+        chosen.add(j if t in chosen else t)
+    return np.array(sorted(chosen), dtype=np.int64)
+
+
+@st.composite
+def sample_shapes(draw):
+    total = draw(st.one_of(st.integers(1, 5000), st.integers(5000, 3 * 2**31)))
+    return total, draw(st.integers(0, min(total, 3000)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample_shapes(), st.integers(0, 2**32 - 1))
+def test_sample_without_replacement_keeps_stream(shape, seed):
+    total, size = shape
+    ref_rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(seed))
+    expected = floyd_one_draw_per_step(ref_rng, total, size)
+    got = _sample_without_replacement(rng, total, size)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expected)
+    # the generator is left where the per-step draws leave it
+    assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
 
 
 def test_active_cuts_triples():
