@@ -273,29 +273,36 @@ def certify(gamma: PairValues, p: Partition, audit: bool = False) -> CertifyStat
     r_bar = tuple(v.copy() for v in gamma.values)
     state = CertifyState(gamma=gamma, r_bar=r_bar)
 
+    # the slot of local pair (a, b), a < b, is base[a] + b
+    bases = []
+    local = [0] * p.n  # global index -> position in its cluster
     worklist: list[tuple[float, int, int, int]] = []
-    locals_by_cluster = []
     for c in (0, 1):
         members = gamma.clusters[c]
-        locals_by_cluster.append({int(g): a for a, g in enumerate(members)})
         sz = members.size
+        a_idx = np.arange(sz)
+        bases.append((a_idx * sz - a_idx * (a_idx + 1) // 2 - a_idx - 1).tolist())
+        for a, g in enumerate(members.tolist()):
+            local[g] = a
         au, bu = np.triu_indices(sz, 1)
-        for t in np.flatnonzero(r_bar[c] < 0.0):
-            a, b = int(au[t]), int(bu[t])
-            worklist.append((float(r_bar[c][t]), int(members[a]), int(members[b]), c))
-    worklist.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
+        neg = np.flatnonzero(r_bar[c] < 0.0)
+        worklist.extend(zip(
+            r_bar[c][neg].tolist(), members[au[neg]].tolist(), members[bu[neg]].tolist(),
+            [c] * neg.size,
+        ))
+    worklist.sort()  # (value, gi, gj) is unique, so c never decides the order
 
     for _, gi, gj, c in worklist:
         members = gamma.clusters[c]
-        local = locals_by_cluster[c]
+        base = bases[c]
         a, b = local[gi], local[gj]
-        idx_ab = gamma.pair_index(c, a, b)
+        idx_ab = base[a] + b
         rc = r_bar[c]
         for k in range(members.size):
             if k == a or k == b:
                 continue
-            idx_ak = gamma.pair_index(c, a, k)
-            idx_bk = gamma.pair_index(c, b, k)
+            idx_ak = base[a] + k if k > a else base[k] + a
+            idx_bk = base[b] + k if k > b else base[k] + b
             omega = min(-rc[idx_ab], rc[idx_ak], rc[idx_bk])
             if omega <= 0.0:
                 continue

@@ -49,7 +49,10 @@ class SolveConfig:
     rounding_mode: str = "normalized"
     lloyd_restarts: int = 10
     lloyd_max_iters: int = 100
-    lp_tol_start: float = 1e-4
+    # Cap on the working LP tolerance, which is otherwise 0.1 r_g (see
+    # tolerance_schedule): loose early rounds buy cuts, not digits.  The
+    # converged and the no-more-cuts decisions always run at lp_tol_floor.
+    lp_tol_start: float = 1e-3
     lp_tol_floor: float = 1e-8
     lp_max_iters: int = 400_000
     tight_tol: float = 1e-5

@@ -47,9 +47,11 @@ class LpSolution:
     objective: float
 
 
-def tolerance_schedule(r_g: float, start: float = 1e-4, floor: float = 1e-8) -> float:
-    """Working LP tolerance for the cutting loop: loose while the optimality
-    gap is large, tightened geometrically as it shrinks."""
+def tolerance_schedule(r_g: float, start: float, floor: float) -> float:
+    """Working LP tolerance for the cutting loop: 0.1 r_g, so loose while the
+    optimality gap is large and tightened geometrically as it shrinks, capped
+    at ``start`` and held at or above ``floor``.  The loop decides tightness
+    and runs its exhaustive separation only after a solve at ``floor``."""
     if not np.isfinite(r_g):
         return start
     return float(min(start, max(floor, 0.1 * r_g)))
@@ -97,34 +99,42 @@ def safe_lower_bound(lp: LpStandardForm, sol: LpSolution) -> float:
 def _ruiz_and_pock_chambolle(kmat: sp.csr_matrix, ruiz_iters: int = 8,
                              alpha: float = 1.0) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """Diagonal equilibration; returns (scaled matrix, row scale, col scale)
-    with scaled = diag(dr) @ K @ diag(dc)."""
+    with scaled = diag(dr) @ K @ diag(dc).
+
+    The scaling works on the CSR arrays in place.  Row reductions are
+    ``reduceat`` over the non-empty rows and column reductions are ``at``
+    in storage order, as scipy's own sparse ``max``/``sum`` compute them,
+    so the result is bit for bit that of the sparse diagonal products."""
     m, nv = kmat.shape
     dr = np.ones(m)
     dc = np.ones(nv)
-    k = kmat.copy()
+    k = kmat.tocsr(copy=True)
+    k.eliminate_zeros()  # as the diagonal products would
+    starts = k.indptr[:-1]
+    nonempty = np.diff(k.indptr) > 0
+    rows = np.repeat(np.arange(m), np.diff(k.indptr))
+
+    def rescale(op, row_vals, col_vals, root):
+        row_red = np.zeros(m)
+        row_red[nonempty] = op.reduceat(row_vals, starts[nonempty])
+        col_red = np.zeros(nv)
+        op.at(col_red, k.indices, col_vals)
+        rs = 1.0 / root(np.maximum(row_red, _EPS))
+        cs = 1.0 / root(np.maximum(col_red, _EPS))
+        rs[row_red <= _EPS] = 1.0
+        cs[col_red <= _EPS] = 1.0
+        np.multiply(k.data, rs[rows], out=k.data)
+        np.multiply(k.data, cs[k.indices], out=k.data)
+        np.multiply(dr, rs, out=dr)
+        np.multiply(dc, cs, out=dc)
+
     for _ in range(ruiz_iters):
-        absk = abs(k)
-        row_max = absk.max(axis=1).toarray().ravel()
-        col_max = absk.max(axis=0).toarray().ravel()
-        rs = 1.0 / np.sqrt(np.maximum(row_max, _EPS))
-        cs = 1.0 / np.sqrt(np.maximum(col_max, _EPS))
-        rs[row_max <= _EPS] = 1.0
-        cs[col_max <= _EPS] = 1.0
-        k = sp.diags(rs) @ k @ sp.diags(cs)
-        dr *= rs
-        dc *= cs
+        absk = np.abs(k.data)
+        rescale(np.maximum, absk, absk, np.sqrt)
     if alpha > 0:
-        absk = abs(k)
-        row_sum = np.asarray(absk.power(alpha).sum(axis=1)).ravel()
-        col_sum = np.asarray(absk.power(2.0 - alpha).sum(axis=0)).ravel()
-        rs = 1.0 / np.sqrt(np.sqrt(np.maximum(row_sum, _EPS)))
-        cs = 1.0 / np.sqrt(np.sqrt(np.maximum(col_sum, _EPS)))
-        rs[row_sum <= _EPS] = 1.0
-        cs[col_sum <= _EPS] = 1.0
-        k = sp.diags(rs) @ k @ sp.diags(cs)
-        dr *= rs
-        dc *= cs
-    return k.tocsr(), dr, dc
+        absk = np.abs(k.data)
+        rescale(np.add, absk**alpha, absk ** (2.0 - alpha), lambda v: np.sqrt(np.sqrt(v)))
+    return k, dr, dc
 
 
 def _kkt_measures(lp: LpStandardForm, kmat: sp.csr_matrix, kmat_t: sp.csr_matrix,

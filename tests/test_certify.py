@@ -442,6 +442,84 @@ def test_certify_repairs_and_bookkeeping_audit():
     assert repaired >= 3
 
 
+def pair_index_certify(gamma, p, audit=False):
+    """The repair loop with a ``PairValues.pair_index`` call per slot and
+    per-element worklist conversions; the reference for ``certify``."""
+    g1, g2 = lpkmeans.certify._ordered_clusters(p)
+    if tuple(map(tuple, gamma.clusters)) != (tuple(g1), tuple(g2)):
+        raise ValueError("gamma values do not match the partition's clusters")
+    r_bar = tuple(v.copy() for v in gamma.values)
+    state = lpkmeans.certify.CertifyState(gamma=gamma, r_bar=r_bar)
+    worklist = []
+    locals_by_cluster = []
+    for c in (0, 1):
+        members = gamma.clusters[c]
+        locals_by_cluster.append({int(g): a for a, g in enumerate(members)})
+        au, bu = np.triu_indices(members.size, 1)
+        for t in np.flatnonzero(r_bar[c] < 0.0):
+            a, b = int(au[t]), int(bu[t])
+            worklist.append((float(r_bar[c][t]), int(members[a]), int(members[b]), c))
+    worklist.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
+    for _, gi, gj, c in worklist:
+        members = gamma.clusters[c]
+        local = locals_by_cluster[c]
+        a, b = local[gi], local[gj]
+        idx_ab = gamma.pair_index(c, a, b)
+        rc = r_bar[c]
+        for k in range(members.size):
+            if k == a or k == b:
+                continue
+            idx_ak = gamma.pair_index(c, a, k)
+            idx_bk = gamma.pair_index(c, b, k)
+            omega = min(-rc[idx_ab], rc[idx_ak], rc[idx_bk])
+            if omega <= 0.0:
+                continue
+            rc[idx_ak] -= omega
+            rc[idx_bk] -= omega
+            rc[idx_ab] += omega
+            key = (int(members[k]), gi, gj)
+            state.lam[key] = state.lam.get(key, 0.0) + omega
+            if rc[idx_ab] >= 0.0:
+                break
+        if rc[idx_ab] < 0.0:
+            state.success = False
+            state.failed_pair = (gi, gj)
+            state.deficit = float(rc[idx_ab])
+            return state
+    state.success = True
+    return state
+
+
+@st.composite
+def sbm_instances(draw):
+    """Planted sbm partitions from hard (most pairs fail) to easy (a few
+    negative pairs, repaired), with unequal cluster sizes."""
+    spec = GenSpec("sbm", n=4 * draw(st.integers(2, 30)), m=2,
+                   delta=draw(st.sampled_from([1.5, 1.9, 2.25, 2.6, 3.0])),
+                   r1=draw(st.sampled_from([0.5, 1.0])), seed=draw(st.integers(0, 10**6)))
+    pts, planted = generate(spec)
+    return squared_distances(pts), planted.assign
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(two_cluster_instances(max_size=30), sbm_instances()))
+def test_certify_state_identical_to_pair_index_loop(instance):
+    d, assign = instance
+    p = Partition(2, assign)
+    g = gamma_values(d, p)
+    before = [v.copy() for v in g.values]
+    got = certify(g, p)
+    ref = pair_index_certify(g, p)
+    assert got.gamma is g
+    for c in (0, 1):
+        assert np.array_equal(g.values[c], before[c])
+        assert np.array_equal(got.r_bar[c], ref.r_bar[c])
+    assert list(got.lam.items()) == list(ref.lam.items())
+    assert got.success == ref.success
+    assert got.failed_pair == ref.failed_pair
+    assert got.deficit == ref.deficit
+
+
 def test_certify_monotone_under_uniform_shift():
     rng = np.random.default_rng(74)
     for seed in range(8):

@@ -142,26 +142,68 @@ def test_zero_cost_bounds_clamped(coords):
 
 # Uniform points whose K = 3 solve mixes |S| = 2 and |S| = 3 cuts in one pool,
 # through LP assembly, cut aging and the warm-start dual remap.  Bounds and
-# assignment are those of the solver with a per-cut object pool.
+# assignment are those of the solver with a per-cut object pool, which ran
+# its rounds at a working tolerance of at most 1e-4.
 K3_MIXED = {
-    "escalate": (dict(), 1.4836915731227691, 1.483691598992277),
-    "t_start3": (dict(t_start=3), 1.4836915726407927, 1.483691598992277),
+    "escalate": (dict(lp_tol_start=1e-4), 1.4836915731227691, 1.483691598992277),
+    "t_start3": (dict(t_start=3, lp_tol_start=1e-4), 1.4836915726407927, 1.483691598992277),
 }
+K3_ASSIGN = [2, 2, 0, 0, 0, 2, 0, 1, 1, 2, 1, 1, 1, 1, 1, 2, 0, 2]
+
+
+def k3_mixed_solve(**overrides):
+    points = PointSet(np.random.default_rng(110).uniform(size=(18, 2)))
+    p, trace, tight = solve_kmeans_lp(points, SolveConfig(k=3, seed=10, keep_pools=True, **overrides))
+    assert trace.status == "converged" and tight
+    assert p.assign.tolist() == K3_ASSIGN
+    mixed = [r for r in trace.rounds if {len(c.s) for c in r.pool_snapshot} == {2, 3}]
+    assert len(mixed) >= 2
+    assert trace.rounds[-1].t_max == 3
+    return trace
 
 
 @pytest.mark.parametrize("case", sorted(K3_MIXED))
 def test_mixed_size_pool_k3_regression(case):
     overrides, f_lb, f_ub = K3_MIXED[case]
-    points = PointSet(np.random.default_rng(110).uniform(size=(18, 2)))
-    cfg = SolveConfig(k=3, seed=10, keep_pools=True, **overrides)
-    p, trace, tight = solve_kmeans_lp(points, cfg)
-    assert trace.status == "converged" and tight
+    trace = k3_mixed_solve(**overrides)
     assert trace.f_lb == pytest.approx(f_lb, rel=1e-12)
     assert trace.f_ub == pytest.approx(f_ub, rel=1e-12)
-    assert p.assign.tolist() == [2, 2, 0, 0, 0, 2, 0, 1, 1, 2, 1, 1, 1, 1, 1, 2, 0, 2]
-    mixed = [r for r in trace.rounds if {len(c.s) for c in r.pool_snapshot} == {2, 3}]
-    assert len(mixed) >= 2
-    assert trace.rounds[-1].t_max == 3
+
+
+def test_mixed_size_pool_k3_default_config():
+    # the default config's looser early rounds reach another safe bound
+    # below the same f_ub
+    trace = k3_mixed_solve()
+    assert trace.f_ub == pytest.approx(K3_MIXED["escalate"][2], rel=1e-12)
+    assert trace.f_lb <= trace.f_ub
+
+
+# Small instances on both sides of tightness, K = 2 and 3: the working
+# tolerance changes the rounds, never the answer.
+LOOSE_START_CORPUS = {
+    **{f"ssm-n40-d{delta}-k2": (dict(model="ssm", n=40, m=2, delta=delta, seed=1), 2)
+       for delta in (1.8, 2.2, 3.0)},
+    "ssm-n30-d2.5-k3": (dict(model="ssm", n=30, m=2, delta=2.5, seed=1), 3),
+    "five_ball-np6-k2": (dict(model="five_ball", m=3, radius=0.1, n_prime=6, seed=1), 2),
+    "five_ball-np6-k3": (dict(model="five_ball", m=3, radius=0.1, n_prime=6, seed=1), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOSE_START_CORPUS))
+def test_loose_start_same_answers(case):
+    spec, k = LOOSE_START_CORPUS[case]
+    points, _ = generate(GenSpec(**spec))
+    default = SolveConfig(k=k, seed=1)
+    p, trace, tight = solve_kmeans_lp(points, default)
+    p_ref, ref, tight_ref = solve_kmeans_lp(points, SolveConfig(k=k, seed=1, lp_tol_start=1e-4))
+    assert trace.status == ref.status
+    assert tight == tight_ref
+    assert same_partition(p.assign, p_ref.assign)
+    assert trace.f_ub == pytest.approx(ref.f_ub, rel=1e-9, abs=1e-12)
+    assert trace.f_lb <= trace.f_ub
+    assert trace.rounds[0].lp_tol == default.lp_tol_start == 1e-3
+    if trace.status == "converged":
+        assert trace.rounds[-1].lp_tol == default.lp_tol_floor
 
 
 def test_keep_pools_snapshots(five_point):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from lpkmeans.core import pack_matrix, partition_matrix, squared_distances
 from lpkmeans.lp_model import CutPool, LpStandardForm, all_cuts, build
 from lpkmeans.solver import (
+    _EPS,
+    _ruiz_and_pock_chambolle,
     operator_norm_estimate,
     safe_lower_bound,
     solve,
@@ -238,8 +242,78 @@ def test_operator_norm_five_point_vs_svd(five_point):
 
 
 def test_tolerance_schedule():
-    assert tolerance_schedule(np.inf) == 1e-4
-    assert tolerance_schedule(1.0) == 1e-4
-    assert tolerance_schedule(1e-3) == pytest.approx(1e-4)
-    assert tolerance_schedule(1e-5) == pytest.approx(1e-6)
-    assert tolerance_schedule(1e-12) == 1e-8
+    assert tolerance_schedule(np.inf, 1e-4, 1e-8) == 1e-4
+    assert tolerance_schedule(1.0, 1e-4, 1e-8) == 1e-4
+    assert tolerance_schedule(1e-3, 1e-4, 1e-8) == pytest.approx(1e-4)
+    assert tolerance_schedule(1e-5, 1e-4, 1e-8) == pytest.approx(1e-6)
+    assert tolerance_schedule(1e-12, 1e-4, 1e-8) == 1e-8
+    # a looser start lets 0.1 r_g act while the gap is above 1e-3
+    assert tolerance_schedule(np.inf, 1e-3, 1e-8) == 1e-3
+    assert tolerance_schedule(1.0, 1e-3, 1e-8) == 1e-3
+    assert tolerance_schedule(5e-3, 1e-3, 1e-8) == pytest.approx(5e-4)
+    assert tolerance_schedule(1e-5, 1e-3, 1e-8) == pytest.approx(1e-6)
+    assert tolerance_schedule(1e-12, 1e-3, 1e-8) == 1e-8
+
+
+def diag_product_equilibration(kmat, ruiz_iters=8, alpha=1.0):
+    """Ruiz and Pock-Chambolle scaling through sparse diagonal products and
+    scipy's sparse max/sum; the reference for the in-place kernel."""
+    m, nv = kmat.shape
+    dr = np.ones(m)
+    dc = np.ones(nv)
+    k = kmat.copy()
+    for _ in range(ruiz_iters):
+        absk = abs(k)
+        row_max = absk.max(axis=1).toarray().ravel()
+        col_max = absk.max(axis=0).toarray().ravel()
+        rs = 1.0 / np.sqrt(np.maximum(row_max, _EPS))
+        cs = 1.0 / np.sqrt(np.maximum(col_max, _EPS))
+        rs[row_max <= _EPS] = 1.0
+        cs[col_max <= _EPS] = 1.0
+        k = sp.diags(rs) @ k @ sp.diags(cs)
+        dr *= rs
+        dc *= cs
+    if alpha > 0:
+        absk = abs(k)
+        row_sum = np.asarray(absk.power(alpha).sum(axis=1)).ravel()
+        col_sum = np.asarray(absk.power(2.0 - alpha).sum(axis=0)).ravel()
+        rs = 1.0 / np.sqrt(np.sqrt(np.maximum(row_sum, _EPS)))
+        cs = 1.0 / np.sqrt(np.sqrt(np.maximum(col_sum, _EPS)))
+        rs[row_sum <= _EPS] = 1.0
+        cs[col_sum <= _EPS] = 1.0
+        k = sp.diags(rs) @ k @ sp.diags(cs)
+        dr *= rs
+        dc *= cs
+    return k.tocsr(), dr, dc
+
+
+@st.composite
+def sparse_matrices(draw):
+    """CSR matrices with mixed signs, magnitudes from 1e-14 (below the
+    scaling's cutoff) to 1e6, explicit zeros, and empty rows and columns."""
+    m, nv = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((m, nv)) < draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    mask[rng.random(m) < 0.2] = False
+    mask[:, rng.random(nv) < 0.2] = False
+    rows, cols = np.nonzero(mask)
+    vals = rng.choice([-1.0, 1.0], rows.size) * 10.0 ** rng.uniform(-14, 6, rows.size)
+    vals[rng.random(rows.size) < 0.1] = 0.0
+    if draw(st.booleans()):  # the LPs' own entries: small integers
+        vals = rng.integers(-2, 3, rows.size).astype(float)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, nv))
+
+
+# At least one Ruiz pass: the reference's first diagonal product drops the
+# explicit zeros, which would otherwise regroup numpy's pairwise row sums.
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(), st.sampled_from([1, 2, 8]), st.sampled_from([0.5, 1.0]))
+def test_equilibration_bit_identical_to_diag_products(kmat, ruiz_iters, alpha):
+    before = kmat.copy()
+    got, dr, dc = _ruiz_and_pock_chambolle(kmat, ruiz_iters, alpha)
+    ref, ref_dr, ref_dc = diag_product_equilibration(kmat, ruiz_iters, alpha)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name))
+    assert np.array_equal(dr, ref_dr) and np.array_equal(dc, ref_dc)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(kmat, name), getattr(before, name))
