@@ -399,6 +399,9 @@ def cmd_lp_direct(args) -> int:
         "safe_lower_bound": safe_lower_bound(lp, sol),
         "status": sol.status,
         "iterations": sol.iterations,
+        "rejected_steps": sol.rejected_steps,
+        "step": sol.step,
+        "primal_weight": sol.primal_weight,
         "primal_residual": sol.primal_residual,
         "gap": sol.gap,
         "tight": bool(is_partition_matrix(x, args.k, 1e-5)),

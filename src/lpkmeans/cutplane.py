@@ -167,6 +167,7 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
     r_g = np.inf
     t_max = cfg.t_start
     warm = None
+    step = primal_weight = None  # PDHG state carried with every warm start
     forced_tol: float | None = None
     tol_ceiling = cfg.lp_tol_start  # ratchets down whenever the bound stalls
     slack_ages = np.zeros(len(pool), dtype=np.int64)  # aligned to the pool rows
@@ -186,9 +187,11 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
 
         t0 = time.monotonic()
         sol = solve(
-            lp, tol=lp_tol, time_limit=cfg.lp_time_limit, max_iters=cfg.lp_max_iters, warm=warm
+            lp, tol=lp_tol, time_limit=cfg.lp_time_limit, max_iters=cfg.lp_max_iters,
+            warm=warm, step=step, primal_weight=primal_weight,
         )
         time_solve = time.monotonic() - t0
+        step, primal_weight = sol.step, sol.primal_weight
         if sol.status == "numerical_failure":
             trace.status = "lp_failure"
             break

@@ -5,6 +5,11 @@ The solver works on the saddle form min_x max_y c.x - y.(Kx - q) with the box
 rows.  Because every variable carries finite bounds, any dual vector yields a
 valid lower bound through the box multipliers; :func:`safe_lower_bound`
 exposes that bound, which holds no matter how early the iteration stopped.
+
+Steps follow PDLP's adaptive rule (Applegate et al., arXiv:2106.04756,
+section 3.1) rather than a fixed fraction of the operator norm, so no solve
+estimates that norm.  A solve returns its last step and primal weight, and a
+warm start from a related LP may pass them back in.
 """
 
 from __future__ import annotations
@@ -34,7 +39,11 @@ class LpSolution:
     """Primal-dual pair with truthful relative residuals.
 
     ``y`` holds the equality duals, ``z`` the cut duals in the <=-row
-    convention (componentwise <= 0, clamped on return).
+    convention (componentwise <= 0, clamped on return).  ``iterations``
+    counts accepted PDHG steps and ``rejected_steps`` the step attempts the
+    adaptive rule turned down.  ``step`` and ``primal_weight`` are the step
+    the next iteration would take and the primal weight, both in the
+    solver's scaled space; a warm start may pass them back to :func:`solve`.
     """
 
     x: np.ndarray
@@ -45,6 +54,9 @@ class LpSolution:
     status: str
     iterations: int
     objective: float
+    step: float
+    primal_weight: float
+    rejected_steps: int
 
 
 def tolerance_schedule(r_g: float, start: float, floor: float) -> float:
@@ -57,9 +69,11 @@ def tolerance_schedule(r_g: float, start: float, floor: float) -> float:
     return float(min(start, max(floor, 0.1 * r_g)))
 
 
-def _power_norm(mat: sp.csr_matrix, mat_t: sp.csr_matrix, rel_tol: float = 1e-6,
-                max_iters: int = 2000) -> float:
-    """Largest singular value by power iteration on M^T M, deterministic start."""
+def operator_norm_estimate(lp: LpStandardForm) -> float:
+    """Spectral norm of the stacked constraint matrix, within ~2 percent:
+    power iteration on M^T M from a deterministic start."""
+    mat = lp.stacked()
+    mat_t = mat.T.tocsr()
     m, nv = mat.shape
     if m == 0 or nv == 0:
         return 0.0
@@ -67,23 +81,17 @@ def _power_norm(mat: sp.csr_matrix, mat_t: sp.csr_matrix, rel_tol: float = 1e-6,
     v = rng.standard_normal(nv)
     v /= np.linalg.norm(v)
     sigma = 0.0
-    for _ in range(max_iters):
+    for _ in range(2000):
         w = mat_t @ (mat @ v)
         norm = np.linalg.norm(w)
         if norm <= _EPS:
             return 0.0
         new_sigma = math.sqrt(norm)
         v = w / norm
-        if abs(new_sigma - sigma) <= rel_tol * max(new_sigma, _EPS):
+        if abs(new_sigma - sigma) <= 1e-7 * max(new_sigma, _EPS):
             return new_sigma
         sigma = new_sigma
     return sigma
-
-
-def operator_norm_estimate(lp: LpStandardForm) -> float:
-    """Spectral norm of the stacked constraint matrix, within ~2 percent."""
-    mat = lp.stacked()
-    return _power_norm(mat, mat.T.tocsr(), rel_tol=1e-7)
 
 
 def safe_lower_bound(lp: LpStandardForm, sol: LpSolution) -> float:
@@ -160,12 +168,16 @@ def solve(
     max_iters: int = 400_000,
     warm: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     scaling: bool = True,
+    step: float | None = None,
+    primal_weight: float | None = None,
 ) -> LpSolution:
     """Run restarted PDHG until the relative KKT error drops below ``tol``.
 
     Returns the best iterate with truthful residuals when the iteration or
     time budget runs out instead.  ``warm`` takes (x, y, z) from a previous
-    solution of a related LP.
+    solution of a related LP, ``step`` and ``primal_weight`` that solution's
+    ``step`` and ``primal_weight``.  Without them the solve starts from
+    1 / max|K| and ||c|| / ||q|| on the scaled data.
     """
     t0 = time.monotonic()
     nv = lp.n_vars
@@ -190,12 +202,16 @@ def solve(
     lb_s = lp.lb / dc
     ub_s = lp.ub / dc
 
-    norm_k = _power_norm(k_s, k_s_t)
-    eta = 0.998 / max(norm_k * 1.01, _EPS)
+    if step is None:
+        k_max = float(np.abs(k_s.data).max()) if k_s.nnz else 0.0
+        step = 1.0 / max(k_max, _EPS)
+    eta = float(step)
 
-    cn = np.linalg.norm(c_s)
-    qn = np.linalg.norm(q_s)
-    omega = float(np.clip(cn / qn if cn > _EPS and qn > _EPS else 1.0, 1e-4, 1e4))
+    if primal_weight is None:
+        cn = np.linalg.norm(c_s)
+        qn = np.linalg.norm(q_s)
+        primal_weight = cn / qn if cn > _EPS and qn > _EPS else 1.0
+    omega = float(np.clip(primal_weight, 1e-4, 1e4))
 
     if warm is not None:
         wx, wy, wz = warm
@@ -228,6 +244,7 @@ def solve(
             x=x_u, y=y_u[:me], z=z,
             primal_residual=pr, gap=gap,
             status=status, iterations=iters, objective=pobj,
+            step=eta, primal_weight=omega, rejected_steps=rejected,
         )
 
     check_every = 64
@@ -237,25 +254,47 @@ def solve(
     smoothing = 0.5
 
     iterations = 0
+    rejected = 0
     x_prev_restart, y_prev_restart = x.copy(), yin.copy()
+    kty = k_s_t @ yin
 
     while True:
-        tau = eta / omega
-        sigma = eta * omega
         err_at_restart = restart_error(x, yin, omega)
         x_bar = x.copy()
         y_bar = yin.copy()
+        step_sum = 0.0  # of the accepted steps since the restart
         inner = 0
         err_candidate_prev = np.inf
         while True:
-            grad = c_s - k_s_t @ yin
-            x_new = np.clip(x - tau * grad, lb_s, ub_s)
-            y_new = proj_y(yin + sigma * (q_s - k_s @ (2.0 * x_new - x)))
-            x, yin = x_new, y_new
+            # adaptive step: try eta, accept it when eta <= eta_bar, the
+            # largest step the local interaction term admits; the next
+            # step (or the retry) is eta_next either way
+            k_acc = iterations + 1
+            shrink = 1.0 - (k_acc + 1) ** -0.3
+            grow = 1.0 + (k_acc + 1) ** -0.6
+            while True:
+                x_new = np.clip(x - (eta / omega) * (c_s - kty), lb_s, ub_s)
+                y_new = proj_y(yin + (eta * omega) * (q_s - k_s @ (2.0 * x_new - x)))
+                kty_new = k_s_t @ y_new
+                dx = x_new - x
+                dy = y_new - yin
+                interaction = abs(float(dx @ (kty_new - kty)))
+                movement = omega * float(dx @ dx) + float(dy @ dy) / omega
+                eta_bar = movement / (2.0 * interaction) if interaction > 0.0 else math.inf
+                eta_next = grow * eta
+                if shrink * eta_bar < eta_next:  # false for an infinite or NaN eta_bar
+                    eta_next = shrink * eta_bar
+                if not eta > eta_bar:  # a NaN eta_bar accepts; the finite check stops it
+                    break
+                rejected += 1
+                eta = eta_next
+            x, yin, kty = x_new, y_new, kty_new
             inner += 1
             iterations += 1
-            x_bar += (x - x_bar) / inner
-            y_bar += (yin - y_bar) / inner
+            step_sum += eta
+            x_bar += (eta / step_sum) * (x - x_bar)
+            y_bar += (eta / step_sum) * (yin - y_bar)
+            eta = eta_next
 
             if iterations % check_every and iterations < max_iters:
                 continue
@@ -299,6 +338,8 @@ def solve(
             )
             err_candidate_prev = err_candidate
             if do_restart:
+                if cand_y is y_bar:
+                    kty = k_s_t @ y_bar
                 x = cand_x.copy()
                 yin = cand_y.copy()
                 break

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -253,6 +254,11 @@ def test_lp_direct_five_point(tmp_path, capsys):
     assert doc["tight"] is False
     assert doc["rows"] == 36
     assert doc["safe_lower_bound"] <= doc["objective"] + 1e-9
+    # the PDHG state behind the solve: accepted and rejected step counts,
+    # the next step and the primal weight
+    for key in ("iterations", "rejected_steps", "step", "primal_weight"):
+        assert math.isfinite(doc[key]) and doc[key] >= 0, key
+    assert doc["step"] > 0 and doc["primal_weight"] > 0
 
 
 def test_mix_seed_spread():

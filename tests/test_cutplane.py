@@ -141,12 +141,14 @@ def test_zero_cost_bounds_clamped(coords):
 
 
 # Uniform points whose K = 3 solve mixes |S| = 2 and |S| = 3 cuts in one pool,
-# through LP assembly, cut aging and the warm-start dual remap.  Bounds and
-# assignment are those of the solver with a per-cut object pool, which ran
-# its rounds at a working tolerance of at most 1e-4.
+# through LP assembly, cut aging and the warm-start dual remap.  The rounds
+# run at a working tolerance of at most 1e-4.  The assignment and f_ub are
+# those of every solver since the per-cut object pool; f_lb is the safe bound
+# of the final duals, so it pins the PDHG iterates too (adaptive steps, with
+# the step and primal weight carried across rounds).
 K3_MIXED = {
-    "escalate": (dict(lp_tol_start=1e-4), 1.4836915731227691, 1.483691598992277),
-    "t_start3": (dict(t_start=3, lp_tol_start=1e-4), 1.4836915726407927, 1.483691598992277),
+    "escalate": (dict(lp_tol_start=1e-4), 1.4836915987580173, 1.483691598992277),
+    "t_start3": (dict(t_start=3, lp_tol_start=1e-4), 1.4836915762991896, 1.483691598992277),
 }
 K3_ASSIGN = [2, 2, 0, 0, 0, 2, 0, 1, 1, 2, 1, 1, 1, 1, 1, 2, 0, 2]
 
@@ -204,6 +206,28 @@ def test_loose_start_same_answers(case):
     assert trace.rounds[0].lp_tol == default.lp_tol_start == 1e-3
     if trace.status == "converged":
         assert trace.rounds[-1].lp_tol == default.lp_tol_floor
+
+
+def test_warm_starts_carry_step_and_primal_weight(monkeypatch):
+    # every solve after the first starts from the previous solve's step and
+    # primal weight: after new cuts and on the confirm re-solve alike
+    import lpkmeans.cutplane as cutplane
+
+    calls = []
+
+    def recording_solve(lp, **kwargs):
+        sol = solve(lp, **kwargs)
+        calls.append((kwargs, sol))
+        return sol
+
+    monkeypatch.setattr(cutplane, "solve", recording_solve)
+    points = PointSet(np.random.default_rng(110).uniform(size=(18, 2)))
+    _, trace, _ = solve_kmeans_lp(points, SolveConfig(k=3, seed=10))
+    assert trace.status == "converged" and len(calls) == trace.n_rounds >= 3
+    assert calls[0][0]["step"] is None and calls[0][0]["primal_weight"] is None
+    for (kwargs, _), (_, prev) in zip(calls[1:], calls):
+        assert kwargs["warm"] is not None
+        assert kwargs["step"] == prev.step and kwargs["primal_weight"] == prev.primal_weight
 
 
 def test_keep_pools_snapshots(five_point):

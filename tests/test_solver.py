@@ -60,6 +60,12 @@ def test_trivial_equality_lp():
     assert sol.x[0] == pytest.approx(1.0, abs=1e-7)
     assert sol.objective == pytest.approx(1.0, abs=1e-7)
     assert sol.gap <= 1e-8
+    # from the zero start the first steps leave x at its bound, so the step
+    # rule sees no interaction (an infinite admissible step): the step must
+    # grow, neither collapse to 0 nor turn NaN
+    assert np.isfinite(sol.x).all() and np.isfinite(sol.y).all()
+    assert np.isfinite(sol.step) and sol.step > 0
+    assert np.isfinite(sol.primal_weight) and sol.primal_weight > 0
 
 
 def test_five_point_lp_optimum(five_point):
@@ -125,7 +131,7 @@ def test_safe_bound_residual_free_cases():
     sol = LpSolution(
         x=np.array([1.0]), y=np.array([0.5]), z=np.zeros(0),
         primal_residual=0, gap=0, status="optimal_to_tol",
-        iterations=0, objective=1.0,
+        iterations=0, objective=1.0, step=1.0, primal_weight=1.0, rejected_steps=0,
     )
     # feasible dual (r = 0): bound equals y.b
     assert safe_lower_bound(lp, sol) == pytest.approx(0.5)
@@ -141,7 +147,7 @@ def test_safe_bound_zero_dual_nonnegative_costs(five_point):
     sol = LpSolution(
         x=np.zeros(lp.n_vars), y=np.zeros(6), z=np.zeros(30),
         primal_residual=0, gap=0, status="optimal_to_tol",
-        iterations=0, objective=0.0,
+        iterations=0, objective=0.0, step=1.0, primal_weight=1.0, rejected_steps=0,
     )
     assert safe_lower_bound(lp, sol) == 0.0
 
@@ -216,6 +222,58 @@ def test_iteration_limit_reported(five_point):
     assert sol.status == "iteration_limit"
     assert sol.iterations == 50
     assert np.isfinite(sol.primal_residual) and np.isfinite(sol.gap)
+
+
+# ---------------------------------------------------------------------------
+# adaptive step
+# ---------------------------------------------------------------------------
+
+
+def _cold_step(lp: LpStandardForm) -> float:
+    """The step a cold solve starts from: 1 / max|K| on the scaled matrix."""
+    k_s, _, _ = _ruiz_and_pock_chambolle(sp.vstack([lp.a_eq, -lp.q], format="csr"))
+    return 1.0 / np.abs(k_s.data).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(4, 9), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_adaptive_step_matches_highs(n, k, seed):
+    pts = random_points(np.random.default_rng(seed), n, 2)
+    lp = build(squared_distances(pts), k, CutPool(all_cuts(n, 2)))
+    ref = _solve_highs(lp)
+    sol = solve(lp, tol=1e-8)
+    assert sol.status == "optimal_to_tol"
+    assert abs(sol.objective - ref) < 1e-6 * (1 + abs(ref))
+    assert safe_lower_bound(lp, sol) <= ref + 1e-9
+    assert np.isfinite(sol.step) and sol.step > 0 and sol.rejected_steps >= 0
+
+
+@pytest.mark.parametrize("factor", [1e6, 1e-6], ids=["huge", "tiny"])
+def test_absurd_carried_step_converges(five_point, factor):
+    # a huge carried step is turned down and retried below the admissible
+    # one; a tiny one grows by (1 + (k+1)^-0.6) per accepted step
+    _, _, d = five_point
+    lp = build(d, 2, CutPool(all_cuts(5, 2)))
+    loose = solve(lp, tol=1e-2)
+    start = factor * _cold_step(lp)
+    sol = solve(lp, tol=1e-8, warm=(loose.x, loose.y, loose.z), step=start,
+                primal_weight=loose.primal_weight)
+    assert sol.status == "optimal_to_tol"
+    assert abs(sol.objective - F_LP) < 1e-6
+    assert np.isfinite(sol.step) and sol.step > 0
+    if factor > 1:
+        assert sol.rejected_steps > 0 and sol.step < start
+    else:
+        assert sol.step > start
+
+
+def test_carried_primal_weight_clipped(five_point):
+    # a carried primal weight is held to PDLP's range like a computed one
+    _, _, d = five_point
+    lp = build(d, 2, CutPool(all_cuts(5, 2)))
+    for weight, clipped in ((1e9, 1e4), (1e-9, 1e-4)):
+        sol = solve(lp, tol=1e-12, max_iters=1, primal_weight=weight)
+        assert sol.primal_weight == clipped
 
 
 # ---------------------------------------------------------------------------
