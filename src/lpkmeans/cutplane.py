@@ -50,9 +50,12 @@ class SolveConfig:
     lloyd_restarts: int = 10
     lloyd_max_iters: int = 100
     # Cap on the working LP tolerance, which is otherwise 0.1 r_g (see
-    # tolerance_schedule): loose early rounds buy cuts, not digits.  The
-    # converged and the no-more-cuts decisions always run at lp_tol_floor.
-    lp_tol_start: float = 1e-3
+    # tolerance_schedule).  0.1 is the rule's value at the start bound
+    # f_lb = 0 (r_g = 1), so round 1 (r_g = inf) starts there and later rounds
+    # (f_lb >= 0, r_g <= 1) never reach the cap: loose early rounds buy cuts,
+    # not digits.  The converged and the no-more-cuts decisions always run at
+    # lp_tol_floor, and every bound comes from safe_lower_bound.
+    lp_tol_start: float = 1e-1
     lp_tol_floor: float = 1e-8
     lp_max_iters: int = 400_000
     tight_tol: float = 1e-5
@@ -240,6 +243,7 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
             trace.status = "converged"
             break
 
+        # eps_act = 20 lp_tol: 2 at lp_tol = 0.1, the largest |w| of a pair cut on [0, 1]
         kept_rows, kept_ages = _age_cuts(
             pool, x_lb, max(1e-8, 20.0 * lp_tol), slack_ages, cfg.drop_patience
         )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpkmeans.core import (
     PointSet,
@@ -203,9 +205,37 @@ def test_loose_start_same_answers(case):
     assert same_partition(p.assign, p_ref.assign)
     assert trace.f_ub == pytest.approx(ref.f_ub, rel=1e-9, abs=1e-12)
     assert trace.f_lb <= trace.f_ub
-    assert trace.rounds[0].lp_tol == default.lp_tol_start == 1e-3
+    assert trace.rounds[0].lp_tol == default.lp_tol_start == 1e-1
     if trace.status == "converged":
         assert trace.rounds[-1].lp_tol == default.lp_tol_floor
+
+
+@st.composite
+def small_instances(draw):
+    if draw(st.booleans()):
+        n = 2 * draw(st.integers(5, 15))
+        spec = GenSpec(model="ssm", n=n, m=2, delta=draw(st.sampled_from([1.8, 2.2, 3.0])),
+                       seed=draw(st.integers(0, 2**16)))
+    else:
+        spec = GenSpec(model="five_ball", m=3, radius=draw(st.sampled_from([0.05, 0.1, 0.2])),
+                       n_prime=draw(st.integers(1, 6)), seed=draw(st.integers(0, 2**16)))
+    return generate(spec)[0], draw(st.sampled_from([2, 3]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(small_instances(), st.integers(0, 2**16))
+def test_default_tolerance_path(instance, seed):
+    # the default config: round 1 at 0.1, later rounds at no more than
+    # 0.1 r_g of the round before, and every final decision at the floor
+    points, k = instance
+    cfg = SolveConfig(k=k, seed=seed)
+    _, trace, _ = solve_kmeans_lp(points, cfg)
+    assert trace.rounds[0].lp_tol == 0.1
+    for prev, cur in zip(trace.rounds, trace.rounds[1:]):
+        assert cur.lp_tol <= max(cfg.lp_tol_floor, 0.1 * prev.r_g)
+    if trace.status in ("converged", "no_more_cuts"):
+        assert trace.rounds[-1].lp_tol == cfg.lp_tol_floor
+    assert trace.f_lb <= trace.f_ub
 
 
 def test_warm_starts_carry_step_and_primal_weight(monkeypatch):

@@ -311,6 +311,13 @@ def test_tolerance_schedule():
     assert tolerance_schedule(5e-3, 1e-3, 1e-8) == pytest.approx(5e-4)
     assert tolerance_schedule(1e-5, 1e-3, 1e-8) == pytest.approx(1e-6)
     assert tolerance_schedule(1e-12, 1e-3, 1e-8) == 1e-8
+    # the default start, 0.1, is the rule's value at r_g = 1 (the start
+    # bound f_lb = 0), so after round 1 the cap never binds
+    assert tolerance_schedule(np.inf, 1e-1, 1e-8) == 1e-1
+    assert tolerance_schedule(1.0, 1e-1, 1e-8) == 1e-1
+    assert tolerance_schedule(0.5, 1e-1, 1e-8) == pytest.approx(5e-2)
+    assert tolerance_schedule(5e-3, 1e-1, 1e-8) == pytest.approx(5e-4)
+    assert tolerance_schedule(1e-12, 1e-1, 1e-8) == 1e-8
 
 
 def diag_product_equilibration(kmat, ruiz_iters=8, alpha=1.0):
