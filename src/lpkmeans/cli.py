@@ -400,6 +400,8 @@ def cmd_lp_direct(args) -> int:
         "status": sol.status,
         "iterations": sol.iterations,
         "rejected_steps": sol.rejected_steps,
+        "restarts": sol.restarts,
+        "matvecs": sol.matvecs,
         "step": sol.step,
         "primal_weight": sol.primal_weight,
         "primal_residual": sol.primal_residual,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec  # the kernel behind csr @ vector
 
 from lpkmeans.lp_model import LpStandardForm
 
@@ -44,6 +45,8 @@ class LpSolution:
     adaptive rule turned down.  ``step`` and ``primal_weight`` are the step
     the next iteration would take and the primal weight, both in the
     solver's scaled space; a warm start may pass them back to :func:`solve`.
+    ``restarts`` counts PDHG restarts and ``matvecs`` the products with K or
+    K^T, scaled or not, that the solve ran, its checks included.
     """
 
     x: np.ndarray
@@ -57,6 +60,8 @@ class LpSolution:
     step: float
     primal_weight: float
     rejected_steps: int
+    restarts: int
+    matvecs: int
 
 
 def tolerance_schedule(r_g: float, start: float, floor: float) -> float:
@@ -112,7 +117,9 @@ def _ruiz_and_pock_chambolle(kmat: sp.csr_matrix, ruiz_iters: int = 8,
     The scaling works on the CSR arrays in place.  Row reductions are
     ``reduceat`` over the non-empty rows and column reductions are ``at``
     in storage order, as scipy's own sparse ``max``/``sum`` compute them,
-    so the result is bit for bit that of the sparse diagonal products."""
+    so the result is bit for bit that of the sparse diagonal products.  The
+    Ruiz passes end early at their fixed point, a pass whose row and column
+    factors are all exactly 1.0."""
     m, nv = kmat.shape
     dr = np.ones(m)
     dc = np.ones(nv)
@@ -131,34 +138,25 @@ def _ruiz_and_pock_chambolle(kmat: sp.csr_matrix, ruiz_iters: int = 8,
         cs = 1.0 / root(np.maximum(col_red, _EPS))
         rs[row_red <= _EPS] = 1.0
         cs[col_red <= _EPS] = 1.0
+        if (rs == 1.0).all() and (cs == 1.0).all():
+            return True  # scaling by ones would change nothing
         np.multiply(k.data, rs[rows], out=k.data)
         np.multiply(k.data, cs[k.indices], out=k.data)
         np.multiply(dr, rs, out=dr)
         np.multiply(dc, cs, out=dc)
+        return False
 
     for _ in range(ruiz_iters):
         absk = np.abs(k.data)
-        rescale(np.maximum, absk, absk, np.sqrt)
+        # all factors 1.0 leave K, dr and dc as they were, so every later
+        # pass would compute the same ones (every LP built here has +-1
+        # entries and stops after its first pass)
+        if rescale(np.maximum, absk, absk, np.sqrt):
+            break
     if alpha > 0:
         absk = np.abs(k.data)
         rescale(np.add, absk**alpha, absk ** (2.0 - alpha), lambda v: np.sqrt(np.sqrt(v)))
     return k, dr, dc
-
-
-def _kkt_measures(lp: LpStandardForm, kmat: sp.csr_matrix, kmat_t: sp.csr_matrix,
-                  q: np.ndarray, me: int, x: np.ndarray, yin: np.ndarray):
-    """Relative primal residual and gap on the original data.  The boxes are
-    finite, so bound multipliers absorb the reduced cost exactly and the dual
-    residual is zero by construction."""
-    kx = kmat @ x
-    res = q - kx
-    res[me:] = np.maximum(res[me:], 0.0)  # >=-form rows: only shortfall counts
-    pr = np.linalg.norm(res) / (1.0 + np.linalg.norm(lp.b_eq))
-    reduced = lp.c - kmat_t @ yin
-    pobj = float(lp.c @ x)
-    dobj = float(yin[:me] @ lp.b_eq + np.minimum(reduced, 0.0) @ lp.ub)
-    gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    return pr, gap, pobj, dobj
 
 
 def solve(
@@ -222,29 +220,61 @@ def solve(
         x = np.clip(np.zeros(nv), lb_s, ub_s)
         yin = np.zeros(me + mi)
 
-    def proj_y(y: np.ndarray) -> np.ndarray:
-        y[me:] = np.maximum(y[me:], 0.0)
-        return y
+    # Every vector the iterations write is allocated here, once.  The
+    # accepted iterate (x, yin, kty = K^T yin) and the candidate step
+    # (x_new, y_new, kty_new) trade buffers on acceptance; dx, dy and dk
+    # also hold the step's intermediates and the averages' increments.
+    x_new, dx, dk, kty, kty_new = (np.empty(nv) for _ in range(5))
+    y_new, dy = np.empty(me + mi), np.empty(me + mi)
+    x_bar, y_bar = x.copy(), yin.copy()
+    x_prev_restart, y_prev_restart = x.copy(), yin.copy()
+    res, reduced = np.empty(me + mi), np.empty(nv)  # for the checks
+    matvecs = 0
 
-    def restart_error(xv: np.ndarray, yv: np.ndarray, w: float) -> float:
-        # weighted squared KKT error in the scaled space
-        res = q_s - k_s @ xv
-        res[me:] = np.maximum(res[me:], 0.0)
-        reduced = c_s - k_s_t @ yv
+    def matvec(mat: sp.csr_matrix, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # out = mat @ v through the kernel that ``@`` runs; the kernel adds
+        # to what ``out`` holds
+        nonlocal matvecs
+        matvecs += 1
+        out.fill(0.0)
+        csr_matvec(mat.shape[0], mat.shape[1], mat.indptr, mat.indices, mat.data, v, out)
+        return out
+
+    def restart_error(xv: np.ndarray, yv: np.ndarray, w: float,
+                      ktyv: np.ndarray | None = None) -> float:
+        # weighted squared KKT error in the scaled space; ktyv is K^T yv
+        # when the caller has it
+        np.subtract(q_s, matvec(k_s, xv, res), out=res)
+        np.maximum(res[me:], 0.0, out=res[me:])
+        np.subtract(c_s, matvec(k_s_t, yv, reduced) if ktyv is None else ktyv, out=reduced)
         pobj = float(c_s @ xv)
-        dobj = float(yv @ q_s + np.minimum(reduced, 0.0) @ ub_s)
+        dobj = float(yv @ q_s + np.minimum(reduced, 0.0, out=reduced) @ ub_s)
         return (w * w) * float(res @ res) + (pobj - dobj) ** 2
 
-    def finalize(xv: np.ndarray, yv: np.ndarray, status: str, iters: int) -> LpSolution:
+    def kkt(xv: np.ndarray, yv: np.ndarray) -> tuple:
+        """Relative primal residual and gap on the original data, with the
+        primal objective and the unscaled pair.  The boxes are finite, so
+        bound multipliers absorb the reduced cost exactly and the dual
+        residual is zero by construction."""
         x_u = xv * dc
         y_u = yv * dr
-        pr, gap, pobj, _ = _kkt_measures(lp, k_orig, k_orig_t, q_rhs, me, x_u, y_u)
-        z = -np.maximum(y_u[me:], 0.0)
+        np.subtract(q_rhs, matvec(k_orig, x_u, res), out=res)
+        np.maximum(res[me:], 0.0, out=res[me:])  # >=-form rows: only shortfall counts
+        pr = np.linalg.norm(res) / (1.0 + np.linalg.norm(lp.b_eq))
+        np.subtract(lp.c, matvec(k_orig_t, y_u, reduced), out=reduced)
+        pobj = float(lp.c @ x_u)
+        dobj = float(y_u[:me] @ lp.b_eq + np.minimum(reduced, 0.0, out=reduced) @ lp.ub)
+        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        return pr, gap, pobj, x_u, y_u
+
+    def finalize(measures: tuple, status: str) -> LpSolution:
+        pr, gap, pobj, x_u, y_u = measures
         return LpSolution(
-            x=x_u, y=y_u[:me], z=z,
+            x=x_u, y=y_u[:me], z=-np.maximum(y_u[me:], 0.0),
             primal_residual=pr, gap=gap,
-            status=status, iterations=iters, objective=pobj,
+            status=status, iterations=iterations, objective=pobj,
             step=eta, primal_weight=omega, rejected_steps=rejected,
+            restarts=restarts, matvecs=matvecs,
         )
 
     check_every = 64
@@ -255,13 +285,13 @@ def solve(
 
     iterations = 0
     rejected = 0
-    x_prev_restart, y_prev_restart = x.copy(), yin.copy()
-    kty = k_s_t @ yin
+    restarts = 0
+    matvec(k_s_t, yin, kty)
 
     while True:
-        err_at_restart = restart_error(x, yin, omega)
-        x_bar = x.copy()
-        y_bar = yin.copy()
+        err_at_restart = restart_error(x, yin, omega, kty)
+        np.copyto(x_bar, x)
+        np.copyto(y_bar, yin)
         step_sum = 0.0  # of the accepted steps since the restart
         inner = 0
         err_candidate_prev = np.inf
@@ -273,12 +303,26 @@ def solve(
             shrink = 1.0 - (k_acc + 1) ** -0.3
             grow = 1.0 + (k_acc + 1) ** -0.6
             while True:
-                x_new = np.clip(x - (eta / omega) * (c_s - kty), lb_s, ub_s)
-                y_new = proj_y(yin + (eta * omega) * (q_s - k_s @ (2.0 * x_new - x)))
-                kty_new = k_s_t @ y_new
-                dx = x_new - x
-                dy = y_new - yin
-                interaction = abs(float(dx @ (kty_new - kty)))
+                # x_new = clip(x - (eta / omega) (c - K^T y), lb, ub)
+                np.subtract(c_s, kty, out=dx)
+                np.multiply(eta / omega, dx, out=dx)
+                np.subtract(x, dx, out=dx)
+                # np.clip, bit for bit: the two differ only where -0.0 meets
+                # a bound of +0.0, and x - s t is -0.0 only where x is
+                np.maximum(dx, lb_s, out=dx)
+                np.minimum(dx, ub_s, out=x_new)
+                # y_new = proj(y + (eta omega) (q - K (2 x_new - x)))
+                np.multiply(2.0, x_new, out=dx)
+                np.subtract(dx, x, out=dx)
+                np.subtract(q_s, matvec(k_s, dx, dy), out=dy)
+                np.multiply(eta * omega, dy, out=dy)
+                np.add(yin, dy, out=y_new)
+                np.maximum(y_new[me:], 0.0, out=y_new[me:])
+                matvec(k_s_t, y_new, kty_new)
+                np.subtract(x_new, x, out=dx)
+                np.subtract(y_new, yin, out=dy)
+                np.subtract(kty_new, kty, out=dk)
+                interaction = abs(float(dx @ dk))
                 movement = omega * float(dx @ dx) + float(dy @ dy) / omega
                 eta_bar = movement / (2.0 * interaction) if interaction > 0.0 else math.inf
                 eta_next = grow * eta
@@ -288,46 +332,44 @@ def solve(
                     break
                 rejected += 1
                 eta = eta_next
-            x, yin, kty = x_new, y_new, kty_new
+            x, x_new = x_new, x
+            yin, y_new = y_new, yin
+            kty, kty_new = kty_new, kty
             inner += 1
             iterations += 1
             step_sum += eta
-            x_bar += (eta / step_sum) * (x - x_bar)
-            y_bar += (eta / step_sum) * (yin - y_bar)
+            weight = eta / step_sum
+            np.subtract(x, x_bar, out=dx)
+            np.multiply(weight, dx, out=dx)
+            np.add(x_bar, dx, out=x_bar)
+            np.subtract(yin, y_bar, out=dy)
+            np.multiply(weight, dy, out=dy)
+            np.add(y_bar, dy, out=y_bar)
             eta = eta_next
 
             if iterations % check_every and iterations < max_iters:
                 continue
 
             if not (np.isfinite(x).all() and np.isfinite(yin).all()):
-                return finalize(x_prev_restart, y_prev_restart, "numerical_failure", iterations)
+                return finalize(kkt(x_prev_restart, y_prev_restart), "numerical_failure")
 
             # termination on the original problem, for current and averaged
-            for xv, yv in ((x, yin), (x_bar, y_bar)):
-                pr, gap, _, _ = _kkt_measures(
-                    lp, k_orig, k_orig_t, q_rhs, me, xv * dc, yv * dr
-                )
-                if max(pr, gap) <= tol:
-                    return finalize(xv, yv, "optimal_to_tol", iterations)
+            current = kkt(x, yin)
+            if max(current[:2]) <= tol:
+                return finalize(current, "optimal_to_tol")
+            average = kkt(x_bar, y_bar)
+            if max(average[:2]) <= tol:
+                return finalize(average, "optimal_to_tol")
 
-            if iterations >= max_iters:
-                err_cur = restart_error(x, yin, omega)
-                err_avg = restart_error(x_bar, y_bar, omega)
-                xv, yv = (x, yin) if err_cur <= err_avg else (x_bar, y_bar)
-                return finalize(xv, yv, "iteration_limit", iterations)
-            if time_limit is not None and time.monotonic() - t0 >= time_limit:
-                err_cur = restart_error(x, yin, omega)
-                err_avg = restart_error(x_bar, y_bar, omega)
-                xv, yv = (x, yin) if err_cur <= err_avg else (x_bar, y_bar)
-                return finalize(xv, yv, "time_limit", iterations)
-
-            err_cur = restart_error(x, yin, omega)
+            err_cur = restart_error(x, yin, omega, kty)
             err_avg = restart_error(x_bar, y_bar, omega)
-            if err_cur <= err_avg:
-                err_candidate, cand_x, cand_y = err_cur, x, yin
-            else:
-                err_candidate, cand_x, cand_y = err_avg, x_bar, y_bar
+            use_current = err_cur <= err_avg
+            if iterations >= max_iters:
+                return finalize(current if use_current else average, "iteration_limit")
+            if time_limit is not None and time.monotonic() - t0 >= time_limit:
+                return finalize(current if use_current else average, "time_limit")
 
+            err_candidate = err_cur if use_current else err_avg
             do_restart = (
                 err_candidate <= (beta_sufficient**2) * err_at_restart
                 or (
@@ -338,16 +380,18 @@ def solve(
             )
             err_candidate_prev = err_candidate
             if do_restart:
-                if cand_y is y_bar:
-                    kty = k_s_t @ y_bar
-                x = cand_x.copy()
-                yin = cand_y.copy()
+                restarts += 1
+                if not use_current:  # restart to the average
+                    np.copyto(x, x_bar)
+                    np.copyto(yin, y_bar)
+                    matvec(k_s_t, yin, kty)
                 break
 
-        dx = np.linalg.norm(x - x_prev_restart)
-        dy = np.linalg.norm(yin - y_prev_restart)
-        if dx > _EPS and dy > _EPS:
+        dx_norm = np.linalg.norm(np.subtract(x, x_prev_restart, out=dx))
+        dy_norm = np.linalg.norm(np.subtract(yin, y_prev_restart, out=dy))
+        if dx_norm > _EPS and dy_norm > _EPS:
             omega = float(np.clip(
-                (dy / dx) ** smoothing * omega ** (1.0 - smoothing), 1e-4, 1e4
+                (dy_norm / dx_norm) ** smoothing * omega ** (1.0 - smoothing), 1e-4, 1e4
             ))
-        x_prev_restart, y_prev_restart = x.copy(), yin.copy()
+        np.copyto(x_prev_restart, x)
+        np.copyto(y_prev_restart, yin)

@@ -255,10 +255,11 @@ def test_lp_direct_five_point(tmp_path, capsys):
     assert doc["rows"] == 36
     assert doc["safe_lower_bound"] <= doc["objective"] + 1e-9
     # the PDHG state behind the solve: accepted and rejected step counts,
-    # the next step and the primal weight
-    for key in ("iterations", "rejected_steps", "step", "primal_weight"):
+    # restarts, products with K or K^T, the next step and the primal weight
+    for key in ("iterations", "rejected_steps", "restarts", "matvecs", "step", "primal_weight"):
         assert math.isfinite(doc[key]) and doc[key] >= 0, key
     assert doc["step"] > 0 and doc["primal_weight"] > 0
+    assert doc["matvecs"] >= 2 * (doc["iterations"] + doc["rejected_steps"])
 
 
 def test_mix_seed_spread():

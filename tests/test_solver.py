@@ -1,14 +1,19 @@
+import math
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.sparse._sparsetools import csr_matvec
 
 from lpkmeans.core import pack_matrix, partition_matrix, squared_distances
 from lpkmeans.lp_model import CutPool, LpStandardForm, all_cuts, build
 from lpkmeans.solver import (
     _EPS,
+    LpSolution,
     _ruiz_and_pock_chambolle,
     operator_norm_estimate,
     safe_lower_bound,
@@ -126,12 +131,11 @@ def test_planted_primal_dual_pairs():
 
 def test_safe_bound_residual_free_cases():
     lp = _manual_lp([1.0], [[1.0]], [1.0])
-    from lpkmeans.solver import LpSolution
-
     sol = LpSolution(
         x=np.array([1.0]), y=np.array([0.5]), z=np.zeros(0),
         primal_residual=0, gap=0, status="optimal_to_tol",
         iterations=0, objective=1.0, step=1.0, primal_weight=1.0, rejected_steps=0,
+        restarts=0, matvecs=0,
     )
     # feasible dual (r = 0): bound equals y.b
     assert safe_lower_bound(lp, sol) == pytest.approx(0.5)
@@ -142,12 +146,11 @@ def test_safe_bound_residual_free_cases():
 def test_safe_bound_zero_dual_nonnegative_costs(five_point):
     _, _, d = five_point
     lp = build(d, 2, CutPool(all_cuts(5, 2)))
-    from lpkmeans.solver import LpSolution
-
     sol = LpSolution(
         x=np.zeros(lp.n_vars), y=np.zeros(6), z=np.zeros(30),
         primal_residual=0, gap=0, status="optimal_to_tol",
         iterations=0, objective=0.0, step=1.0, primal_weight=1.0, rejected_steps=0,
+        restarts=0, matvecs=0,
     )
     assert safe_lower_bound(lp, sol) == 0.0
 
@@ -355,17 +358,30 @@ def diag_product_equilibration(kmat, ruiz_iters=8, alpha=1.0):
 @st.composite
 def sparse_matrices(draw):
     """CSR matrices with mixed signs, magnitudes from 1e-14 (below the
-    scaling's cutoff) to 1e6, explicit zeros, and empty rows and columns."""
+    scaling's cutoff) to 1e6, explicit zeros, and empty rows and columns;
+    or with small integer entries; or with +-1 entries, the form of every
+    LP built here, on which Ruiz scaling stops after its first pass; or
+    with row maxima 1 and some column maxima below 1, where the first pass
+    has row factors all 1 but not column factors."""
     m, nv = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mask = rng.random((m, nv)) < draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
     mask[rng.random(m) < 0.2] = False
     mask[:, rng.random(nv) < 0.2] = False
     rows, cols = np.nonzero(mask)
-    vals = rng.choice([-1.0, 1.0], rows.size) * 10.0 ** rng.uniform(-14, 6, rows.size)
-    vals[rng.random(rows.size) < 0.1] = 0.0
-    if draw(st.booleans()):  # the LPs' own entries: small integers
+    signs = rng.choice([-1.0, 1.0], rows.size)
+    kind = draw(st.sampled_from(["spread", "small_int", "unit", "unit_rows"]))
+    if kind == "spread":
+        vals = signs * 10.0 ** rng.uniform(-14, 6, rows.size)
+    elif kind == "small_int":
         vals = rng.integers(-2, 3, rows.size).astype(float)
+    elif kind == "unit":
+        vals = signs
+    else:
+        vals = signs * rng.uniform(0.25, 0.75, rows.size)
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        vals[first] = signs[first]  # one entry of magnitude 1 per stored row
+    vals[rng.random(rows.size) < 0.1] = 0.0
     return sp.csr_matrix((vals, (rows, cols)), shape=(m, nv))
 
 
@@ -382,3 +398,233 @@ def test_equilibration_bit_identical_to_diag_products(kmat, ruiz_iters, alpha):
     assert np.array_equal(dr, ref_dr) and np.array_equal(dc, ref_dc)
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(kmat, name), getattr(before, name))
+
+
+# ---------------------------------------------------------------------------
+# in-place PDHG loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_kkt(lp, kmat, kmat_t, q, me, x, yin):
+    kx = kmat @ x
+    res = q - kx
+    res[me:] = np.maximum(res[me:], 0.0)
+    pr = np.linalg.norm(res) / (1.0 + np.linalg.norm(lp.b_eq))
+    reduced = lp.c - kmat_t @ yin
+    pobj = float(lp.c @ x)
+    dobj = float(yin[:me] @ lp.b_eq + np.minimum(reduced, 0.0) @ lp.ub)
+    gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+    return pr, gap, pobj, dobj
+
+
+def reference_solve(lp, tol=1e-8, time_limit=None, max_iters=400_000, warm=None,
+                    scaling=True, step=None, primal_weight=None):
+    """Restarted PDHG as one expression per update, allocating every vector
+    it writes and computing every product it uses through ``@``; the
+    reference for the in-place loop of :func:`solve`.  Returns the solution
+    (``matvecs`` reads 0) and the number of restarts to the average."""
+    t0 = time.monotonic()
+    nv = lp.n_vars
+    me = lp.a_eq.shape[0]
+    mi = lp.q.shape[0]
+    if mi:
+        k_orig = sp.vstack([lp.a_eq, -lp.q], format="csr")
+    else:
+        k_orig = lp.a_eq
+    k_orig_t = k_orig.T.tocsr()
+    q_rhs = np.concatenate([lp.b_eq, np.zeros(mi)])
+    if scaling:
+        k_s, dr, dc = _ruiz_and_pock_chambolle(k_orig)
+    else:
+        k_s, dr, dc = k_orig, np.ones(me + mi), np.ones(nv)
+    k_s_t = k_s.T.tocsr()
+    c_s = lp.c * dc
+    q_s = q_rhs * dr
+    lb_s = lp.lb / dc
+    ub_s = lp.ub / dc
+    if step is None:
+        k_max = float(np.abs(k_s.data).max()) if k_s.nnz else 0.0
+        step = 1.0 / max(k_max, _EPS)
+    eta = float(step)
+    if primal_weight is None:
+        cn = np.linalg.norm(c_s)
+        qn = np.linalg.norm(q_s)
+        primal_weight = cn / qn if cn > _EPS and qn > _EPS else 1.0
+    omega = float(np.clip(primal_weight, 1e-4, 1e4))
+    if warm is not None:
+        wx, wy, wz = warm
+        x = np.clip(wx / dc, lb_s, ub_s)
+        yin = np.concatenate([wy, -np.minimum(wz, 0.0)]) / dr
+        yin[me:] = np.maximum(yin[me:], 0.0)
+    else:
+        x = np.clip(np.zeros(nv), lb_s, ub_s)
+        yin = np.zeros(me + mi)
+
+    def proj_y(y):
+        y[me:] = np.maximum(y[me:], 0.0)
+        return y
+
+    def restart_error(xv, yv, w):
+        res = q_s - k_s @ xv
+        res[me:] = np.maximum(res[me:], 0.0)
+        reduced = c_s - k_s_t @ yv
+        pobj = float(c_s @ xv)
+        dobj = float(yv @ q_s + np.minimum(reduced, 0.0) @ ub_s)
+        return (w * w) * float(res @ res) + (pobj - dobj) ** 2
+
+    def finalize(xv, yv, status, iters):
+        x_u = xv * dc
+        y_u = yv * dr
+        pr, gap, pobj, _ = _reference_kkt(lp, k_orig, k_orig_t, q_rhs, me, x_u, y_u)
+        z = -np.maximum(y_u[me:], 0.0)
+        sol = LpSolution(
+            x=x_u, y=y_u[:me], z=z, primal_residual=pr, gap=gap,
+            status=status, iterations=iters, objective=pobj,
+            step=eta, primal_weight=omega, rejected_steps=rejected,
+            restarts=restarts, matvecs=0,
+        )
+        return sol, to_average
+
+    iterations = rejected = restarts = to_average = 0
+    x_prev_restart, y_prev_restart = x.copy(), yin.copy()
+    kty = k_s_t @ yin
+    while True:
+        err_at_restart = restart_error(x, yin, omega)
+        x_bar = x.copy()
+        y_bar = yin.copy()
+        step_sum = 0.0
+        inner = 0
+        err_candidate_prev = np.inf
+        while True:
+            k_acc = iterations + 1
+            shrink = 1.0 - (k_acc + 1) ** -0.3
+            grow = 1.0 + (k_acc + 1) ** -0.6
+            while True:
+                x_new = np.clip(x - (eta / omega) * (c_s - kty), lb_s, ub_s)
+                y_new = proj_y(yin + (eta * omega) * (q_s - k_s @ (2.0 * x_new - x)))
+                kty_new = k_s_t @ y_new
+                dx = x_new - x
+                dy = y_new - yin
+                interaction = abs(float(dx @ (kty_new - kty)))
+                movement = omega * float(dx @ dx) + float(dy @ dy) / omega
+                eta_bar = movement / (2.0 * interaction) if interaction > 0.0 else math.inf
+                eta_next = grow * eta
+                if shrink * eta_bar < eta_next:
+                    eta_next = shrink * eta_bar
+                if not eta > eta_bar:
+                    break
+                rejected += 1
+                eta = eta_next
+            x, yin, kty = x_new, y_new, kty_new
+            inner += 1
+            iterations += 1
+            step_sum += eta
+            x_bar += (eta / step_sum) * (x - x_bar)
+            y_bar += (eta / step_sum) * (yin - y_bar)
+            eta = eta_next
+            if iterations % 64 and iterations < max_iters:
+                continue
+            if not (np.isfinite(x).all() and np.isfinite(yin).all()):
+                return finalize(x_prev_restart, y_prev_restart, "numerical_failure", iterations)
+            for xv, yv in ((x, yin), (x_bar, y_bar)):
+                pr, gap, _, _ = _reference_kkt(lp, k_orig, k_orig_t, q_rhs, me, xv * dc, yv * dr)
+                if max(pr, gap) <= tol:
+                    return finalize(xv, yv, "optimal_to_tol", iterations)
+            if iterations >= max_iters or (
+                time_limit is not None and time.monotonic() - t0 >= time_limit
+            ):
+                err_cur = restart_error(x, yin, omega)
+                err_avg = restart_error(x_bar, y_bar, omega)
+                xv, yv = (x, yin) if err_cur <= err_avg else (x_bar, y_bar)
+                status = "iteration_limit" if iterations >= max_iters else "time_limit"
+                return finalize(xv, yv, status, iterations)
+            err_cur = restart_error(x, yin, omega)
+            err_avg = restart_error(x_bar, y_bar, omega)
+            if err_cur <= err_avg:
+                err_candidate, cand_x, cand_y = err_cur, x, yin
+            else:
+                err_candidate, cand_x, cand_y = err_avg, x_bar, y_bar
+            do_restart = (
+                err_candidate <= 0.2**2 * err_at_restart
+                or (err_candidate <= 0.8**2 * err_at_restart
+                    and err_candidate > err_candidate_prev)
+                or inner >= 0.36 * iterations
+            )
+            err_candidate_prev = err_candidate
+            if do_restart:
+                restarts += 1
+                if cand_y is y_bar:
+                    to_average += 1
+                    kty = k_s_t @ y_bar
+                x = cand_x.copy()
+                yin = cand_y.copy()
+                break
+        dx = np.linalg.norm(x - x_prev_restart)
+        dy = np.linalg.norm(yin - y_prev_restart)
+        if dx > _EPS and dy > _EPS:
+            omega = float(np.clip((dy / dx) ** 0.5 * omega ** 0.5, 1e-4, 1e4))
+        x_prev_restart, y_prev_restart = x.copy(), yin.copy()
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(4, 9),
+    st.sampled_from([2, 3]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["cold", "warm", "warm_carried"]),
+    st.sampled_from([1.0, 1e-2, 1e2]),
+    st.sampled_from([1e-3, 1e-6, 1e-9]),
+    st.one_of(st.just(400_000), st.integers(1, 400)),
+)
+@example(9, 3, 5, "cold", 1.0, 1e-9, 400_000)
+def test_in_place_loop_bit_identical_to_reference(n, k, seed, start, factor, tol, max_iters):
+    # the same iterates bit for bit: equal x, y, z, counts, step, weight and
+    # status from cold and warm starts, a carried (and rescaled) step and
+    # weight, budgets that end between two checks, and restarts to the average
+    pts = random_points(np.random.default_rng(seed), n, 2)
+    lp = build(squared_distances(pts), k, CutPool(all_cuts(n, 2)))
+    kwargs = dict(tol=tol, max_iters=max_iters)
+    if start != "cold":
+        loose = solve(lp, tol=1e-2)
+        kwargs["warm"] = (loose.x, loose.y, loose.z)
+        if start == "warm_carried":
+            kwargs.update(step=factor * loose.step, primal_weight=loose.primal_weight)
+    got = solve(lp, **kwargs)
+    ref, _ = reference_solve(lp, **kwargs)
+    for name in ("x", "y", "z"):
+        assert _same_bits(getattr(got, name), getattr(ref, name)), name
+    for name in ("iterations", "rejected_steps", "restarts", "step", "primal_weight",
+                 "status", "primal_residual", "gap", "objective"):
+        assert getattr(got, name) == getattr(ref, name), name
+    # every step attempt costs K x and K^T y; the checks add more
+    assert got.matvecs >= 2 * (got.iterations + got.rejected_steps)
+
+
+def test_reference_restarts_to_the_average():
+    # the explicit example of the property above takes this path
+    pts = random_points(np.random.default_rng(5), 9, 2)
+    lp = build(squared_distances(pts), 3, CutPool(all_cuts(9, 2)))
+    _, to_average = reference_solve(lp, tol=1e-9)
+    assert to_average > 0
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_private_csr_matvec_kernel_matches_matmul(index_dtype):
+    # solve() calls scipy's private kernel into a zeroed buffer; it must be
+    # what ``csr @ vector`` runs, bit for bit, for either index width
+    rng = np.random.default_rng(37)
+    dense = rng.normal(size=(30, 20)) * (rng.random((30, 20)) < 0.3)
+    dense[[0, 11, 29]] = 0.0  # empty rows, first and last among them
+    for mat in (sp.csr_matrix(dense), sp.csr_matrix(dense).T.tocsr()):
+        mat.indptr = mat.indptr.astype(index_dtype)
+        mat.indices = mat.indices.astype(index_dtype)
+        assert mat.indptr.dtype == index_dtype and mat.indices.dtype == index_dtype
+        v = rng.normal(size=mat.shape[1])
+        out = np.full(mat.shape[0], np.nan)
+        out.fill(0.0)
+        csr_matvec(mat.shape[0], mat.shape[1], mat.indptr, mat.indices, mat.data, v, out)
+        assert _same_bits(out, mat @ v)
