@@ -8,7 +8,9 @@ local index pair to its slot.
 
 from __future__ import annotations
 
+import hashlib
 import os
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -220,9 +222,60 @@ def _pair_slacks(d: np.ndarray, stats: TwoClusterStats) -> tuple[np.ndarray, np.
     return out[0], out[1]
 
 
-def _proximity_report(stats: TwoClusterStats, s1: np.ndarray, s2: np.ndarray) -> ProximityReport:
-    margin_small = float(s1.min()) if s1.size else np.inf
-    margin_large = float(s2.min()) if s2.size else np.inf
+# The last evaluation of the slacks: a weakref to the distance matrix, the
+# partition key (k, assign bytes, d's shape and dtype), a SHA-256 digest of
+# d's bytes, and (stats, (gamma_small, gamma_large)).  proximity_check
+# followed by gamma_values on the same d and partition then costs one sweep.
+# The digest catches a d mutated in place; the weakref's callback clears the
+# slot when d is collected, so the slot never outlives its matrix.  The slot
+# is read once and replaced by one assignment, so a thread racing another
+# can only miss it, never read a torn entry.
+_last: tuple | None = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    global _last
+    last = _last
+    if last is not None and last[0] is ref:
+        _last = None
+
+
+def _stats_and_gamma(
+    d: np.ndarray, p: Partition
+) -> tuple[TwoClusterStats, tuple[np.ndarray, np.ndarray]]:
+    """Stats and read-only gamma (twice the pair slacks) of ``(d, p)``, from
+    the last evaluation when it was of this same, unchanged ``d`` and this
+    partition."""
+    global _last
+    d = np.asarray(d, dtype=np.float64)
+    if d.shape != (p.n, p.n):
+        raise ValueError(
+            f"distance matrix of shape {d.shape} for a partition of {p.n} points,"
+            f" which needs shape {(p.n, p.n)}"
+        )
+    key = (p.k, p.assign.tobytes(), d.shape, d.dtype.str)
+    digest = hashlib.sha256(np.ascontiguousarray(d)).digest()
+    last = _last
+    if last is not None and last[0]() is d and last[1] == key and last[2] == digest:
+        return last[3]
+    stats = two_cluster_stats(d, p)
+    gamma = _pair_slacks(d, stats)
+    for values in gamma:
+        values *= 2.0  # exact, so min(gamma) / 2 is the slack's minimum
+    # every caller shares these arrays
+    for values in (*gamma, stats.d_in, stats.d_out, *stats.clusters):
+        values.setflags(write=False)
+    result = (stats, gamma)
+    _last = (weakref.ref(d, _forget), key, digest, result)
+    return result
+
+
+def proximity_check(d: np.ndarray, p: Partition) -> ProximityReport:
+    """Evaluate the pairwise sufficient condition; a strictly positive margin
+    additionally certifies uniqueness of the optimal solution."""
+    stats, (g1, g2) = _stats_and_gamma(d, p)
+    margin_small = float(g1.min()) / 2.0 if g1.size else np.inf
+    margin_large = float(g2.min()) / 2.0 if g2.size else np.inf
     worst = min(margin_small, margin_large)
     if worst < 0.0:
         verdict = "fails"
@@ -233,27 +286,12 @@ def _proximity_report(stats: TwoClusterStats, s1: np.ndarray, s2: np.ndarray) ->
     return ProximityReport(verdict, margin_small, margin_large, stats)
 
 
-def proximity_check(d: np.ndarray, p: Partition) -> ProximityReport:
-    """Evaluate the pairwise sufficient condition; a strictly positive margin
-    additionally certifies uniqueness of the optimal solution."""
-    stats = two_cluster_stats(d, p)
-    return _proximity_report(stats, *_pair_slacks(d, stats))
-
-
 def gamma_values(d: np.ndarray, p: Partition) -> PairValues:
-    """Per-pair slack values, scaled by two, feeding the certificate repair."""
-    stats = two_cluster_stats(d, p)
-    s1, s2 = _pair_slacks(d, stats)
-    return PairValues(clusters=stats.clusters, values=(2.0 * s1, 2.0 * s2))
-
-
-def _proximity_and_gamma(d: np.ndarray, p: Partition) -> tuple[ProximityReport, PairValues]:
-    """``proximity_check`` and ``gamma_values`` from one evaluation of the
-    slacks: the margins are the minima of gamma / 2."""
-    stats = two_cluster_stats(d, p)
-    s1, s2 = _pair_slacks(d, stats)
-    values = PairValues(clusters=stats.clusters, values=(2.0 * s1, 2.0 * s2))
-    return _proximity_report(stats, s1, s2), values
+    """Per-pair slack values, scaled by two, feeding the certificate repair.
+    The arrays are read-only: a call after ``proximity_check`` on the same
+    ``d`` and partition returns the ones that evaluation computed."""
+    stats, gamma = _stats_and_gamma(d, p)
+    return PairValues(clusters=stats.clusters, values=gamma)
 
 
 def certify(gamma: PairValues, p: Partition, audit: bool = False) -> CertifyState:

@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from lpkmeans.certify import _proximity_and_gamma, certify, gamma_values, proximity_check
+from lpkmeans.certify import certify, gamma_values, proximity_check
 from lpkmeans.core import (
     Partition,
     PointSet,
@@ -287,12 +287,12 @@ def cmd_certify(args) -> int:
     p = Partition(2, relabeled)
     d = squared_distances(points)
 
-    prox, gamma = _proximity_and_gamma(d, p)
+    prox = proximity_check(d, p)
     print(f"proximity: {prox.verdict}")
     print(f"  min slack (smaller cluster pairs): {prox.margin_small:.6g}")
     print(f"  min slack (larger cluster pairs):  {prox.margin_large:.6g}")
 
-    state = certify(gamma, p)
+    state = certify(gamma_values(d, p), p)
     if state.success:
         print(f"certificate: success ({len(state.lam)} repair multipliers)")
     else:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import sys
 import threading
@@ -336,8 +337,164 @@ def test_gamma_is_twice_proximity_slack(five_point):
     _, planted, d = five_point
     prox = proximity_check(d, planted)
     g = gamma_values(d, planted)
-    assert g.values[0].min() == pytest.approx(2 * prox.margin_small, abs=1e-13)
-    assert g.values[1].min() == pytest.approx(2 * prox.margin_large, abs=1e-13)
+    assert g.values[0].min() == 2 * prox.margin_small
+    assert g.values[1].min() == 2 * prox.margin_large
+
+
+# ---------------------------------------------------------------------------
+# one evaluation shared by proximity_check and gamma_values
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def slack_calls(monkeypatch):
+    """Records each evaluation of the pair slacks."""
+    calls = []
+    pair_slacks = lpkmeans.certify._pair_slacks
+
+    def counting(d, stats):
+        calls.append(d.shape)
+        return pair_slacks(d, stats)
+
+    monkeypatch.setattr(lpkmeans.certify, "_pair_slacks", counting)
+    return calls
+
+
+def sbm_80():
+    """sbm n=80 with negative pairs that the repair loop fixes."""
+    pts, planted = generate(GenSpec("sbm", n=80, m=2, delta=2.25, r1=1.0, seed=500))
+    return squared_distances(pts), planted
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_cluster_instances())
+def test_shared_evaluation_equals_fresh_slacks(instance):
+    d, assign = instance
+    p = Partition(2, assign)
+    prox = proximity_check(d, p)
+    g = gamma_values(d, p)
+    fresh = _pair_slacks(d, two_cluster_stats(d, p))
+    for c, margin in ((0, prox.margin_small), (1, prox.margin_large)):
+        assert g.values[c].tobytes() == (2.0 * fresh[c]).tobytes()
+        assert margin == (float(fresh[c].min()) if fresh[c].size else np.inf)
+
+
+def test_proximity_then_gamma_sweeps_once(slack_calls):
+    d, planted = sbm_80()
+    proximity_check(d, planted)
+    g = gamma_values(d, planted)
+    proximity_check(d, planted)
+    assert slack_calls == [(80, 80)]
+    assert gamma_values(d, planted).values[0] is g.values[0]
+
+
+def _mutated_in_place(d, p):
+    d[0, 1] += 1.0
+    d[1, 0] += 1.0
+    return d, p
+
+
+def _equal_copy(d, p):
+    return d.copy(), p
+
+
+def _other_partition(d, p):
+    assign = p.assign.copy()
+    i, j = p.members(0)[0], p.members(1)[0]
+    assign[i], assign[j] = assign[j], assign[i]
+    return d, Partition(2, assign)
+
+
+@pytest.mark.parametrize("change", [_mutated_in_place, _equal_copy, _other_partition])
+def test_changed_inputs_recompute(slack_calls, change):
+    d, planted = sbm_80()
+    proximity_check(d, planted)
+    d2, p2 = change(d, planted)
+    got = gamma_values(d2, p2)
+    assert len(slack_calls) == 2
+    fresh = _pair_slacks(d2, two_cluster_stats(d2, p2))
+    for c in (0, 1):
+        assert np.array_equal(got.values[c], 2.0 * fresh[c])
+
+
+def test_slot_cleared_when_d_collected():
+    d, planted = sbm_80()
+    proximity_check(d, planted)
+    assert lpkmeans.certify._last is not None
+    del d
+    gc.collect()
+    assert lpkmeans.certify._last is None
+
+
+def test_shared_arrays_read_only_and_audit_succeeds():
+    d, planted = sbm_80()
+    prox = proximity_check(d, planted)
+    g = gamma_values(d, planted)
+    stats = prox.stats
+    for values in (*g.values, stats.d_in, stats.d_out, *stats.clusters):
+        assert not values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        g.values[0][0] = 0.0
+    state = certify(g, planted, audit=True)
+    assert state.success and state.lam
+    assert all(state.r_bar[c].flags.writeable for c in (0, 1))
+
+
+def test_concurrent_callers_get_their_own_results():
+    # each thread evaluates its own instance, fresh d objects each time;
+    # a lost or torn slot update would hand one thread another's gamma
+    instances = []
+    for seed in range(5):
+        pts, planted = generate(GenSpec("sbm", n=40, m=2, delta=2.3, r1=1.0, seed=seed))
+        d = squared_distances(pts)
+        instances.append((pts, planted, _pair_slacks(d, two_cluster_stats(d, planted))))
+    mismatches = []
+
+    def run(pts, planted, fresh):
+        for _ in range(20):
+            d = squared_distances(pts)
+            prox = proximity_check(d, planted)
+            g = gamma_values(d, planted)
+            ok = prox.margin_small == fresh[0].min() and all(
+                np.array_equal(g.values[c], 2.0 * fresh[c]) for c in (0, 1)
+            )
+            if not ok:
+                mismatches.append(planted)
+
+    threads = [threading.Thread(target=run, args=instance) for instance in instances]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("size", [12, 8])
+def test_rejects_distance_matrix_of_other_size(size):
+    rng = np.random.default_rng(75)
+    d = squared_distances(PointSet(rng.normal(size=(size, 2))))
+    p = Partition(2, np.repeat([0, 1], 5))
+    for check in (proximity_check, gamma_values):
+        with pytest.raises(ValueError, match=rf"\({size}, {size}\).*\(10, 10\)"):
+            check(d, p)
+
+
+def test_float32_distances_evaluated_as_float64():
+    d, planted = sbm_80()
+    d32 = d.astype(np.float32)
+    d64 = d32.astype(np.float64)
+    expected = (proximity_check(d64, planted), gamma_values(d64, planted))
+    got = (proximity_check(d32, planted), gamma_values(d32, planted))
+    assert got[0].margin_small == expected[0].margin_small
+    assert got[0].margin_large == expected[0].margin_large
+    for c in (0, 1):
+        assert np.array_equal(got[1].values[c], expected[1].values[c])
 
 
 # ---------------------------------------------------------------------------
