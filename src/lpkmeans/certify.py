@@ -122,6 +122,11 @@ def _ordered_clusters(p: Partition) -> tuple[np.ndarray, np.ndarray]:
 
 def two_cluster_stats(d: np.ndarray, p: Partition) -> TwoClusterStats:
     """Exact r1, r2, per-point mean distances, and eta for a 2-partition."""
+    if np.shape(d) != (p.n, p.n):
+        raise ValueError(
+            f"distance matrix of shape {np.shape(d)} for a partition of {p.n} points,"
+            f" which needs shape {(p.n, p.n)}"
+        )
     g1, g2 = _ordered_clusters(p)
     n = p.n
     r1 = 2.0 * g1.size / n
@@ -248,13 +253,9 @@ def _stats_and_gamma(
     partition."""
     global _last
     d = np.asarray(d, dtype=np.float64)
-    if d.shape != (p.n, p.n):
-        raise ValueError(
-            f"distance matrix of shape {d.shape} for a partition of {p.n} points,"
-            f" which needs shape {(p.n, p.n)}"
-        )
     key = (p.k, p.assign.tobytes(), d.shape, d.dtype.str)
     digest = hashlib.sha256(np.ascontiguousarray(d)).digest()
+    # two_cluster_stats checks d's shape; a hit's key holds a shape it accepted
     last = _last
     if last is not None and last[0]() is d and last[1] == key and last[2] == digest:
         return last[3]

@@ -154,11 +154,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-max", type=int, default=_env_default("t-max", int, None),
                    help="cap on the inequality set size (default: K)")
     p.add_argument("--seed", type=int, default=_env_default("seed", int, 0))
-    p.add_argument(
-        "--rounding-mode",
-        choices=("normalized", "unnormalized"),
-        default=_env_default("rounding-mode", str, "normalized"),
-    )
     p.add_argument("--max-rounds", type=int, default=_env_default("max-rounds", int, 200))
 
 
@@ -176,7 +171,6 @@ def cmd_solve(args) -> int:
         t_cap=args.t_max,
         seed=args.seed,
         max_rounds=args.max_rounds,
-        rounding_mode=args.rounding_mode,
     )
     partition, trace, tight = solve_kmeans_lp(points, cfg)
     doc = {
@@ -211,7 +205,6 @@ def cmd_solve(args) -> int:
             "t_cap": cfg.t_cap,
             "seed": cfg.seed,
             "max_rounds": cfg.max_rounds,
-            "rounding_mode": cfg.rounding_mode,
         },
     }
     _dump_json(doc, args.out)

@@ -41,12 +41,10 @@ class SolveConfig:
     p_init: int | None = None  # default max(10 n, 2 n^2), see resolved()
     p_max: int | None = None  # default 5 n
     lp_time_limit: float | None = None
-    t_start: int = 2
     t_cap: int | None = None  # largest |S| ever separated (default: K)
     escalation_threshold: int | None = None  # default n / 10
     seed: int = 0
     max_rounds: int = 200
-    rounding_mode: str = "normalized"
     lloyd_restarts: int = 10
     lloyd_max_iters: int = 100
     # Cap on the working LP tolerance, which is otherwise 0.1 r_g (see
@@ -65,8 +63,8 @@ class SolveConfig:
     def __post_init__(self):
         if self.eps_opt <= 0:
             raise ValueError("eps_opt must be positive")
-        if self.t_start < 2 or (self.k >= 2 and self.t_start > self.k):
-            raise ValueError("need 2 <= t_start <= K")
+        if self.t_cap is not None and self.t_cap < 2:
+            raise ValueError("t_cap must be >= 2")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
 
@@ -163,12 +161,12 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
         max_iters=cfg.lloyd_max_iters, restarts=cfg.lloyd_restarts, seed=cfg.seed
     )
     incumbent = kmeanspp_lloyd(points, k, lloyd_cfg)
-    pool = active_cuts(partition_matrix(incumbent[0]), 2, cap=p_init, seed=cfg.seed)
+    pool = active_cuts(partition_matrix(incumbent[0]), cap=p_init, seed=cfg.seed)
     trace.time_init = time.monotonic() - t_begin
 
     f_lb = 0.0  # c >= 0 and x >= 0, so 0 is a valid bound
     r_g = np.inf
-    t_max = cfg.t_start
+    t_max = 2  # separation starts at pair cuts and escalates up to t_limit
     warm = None
     step = primal_weight = None  # PDHG state carried with every warm start
     forced_tol: float | None = None
@@ -205,7 +203,7 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
         x_lb = unpack_matrix(sol.x, n)
 
         t0 = time.monotonic()
-        candidate = round_lp_solution(x_lb, points, k, lloyd_cfg, mode=cfg.rounding_mode)
+        candidate = round_lp_solution(x_lb, points, k, lloyd_cfg)
         incumbent = upper_bound_update(incumbent, candidate)
         time_round = time.monotonic() - t0
         f_ub = incumbent[1]
@@ -229,7 +227,7 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
             time_solve=time_solve,
             time_round=time_round,
             time_separate=0.0,
-            pool_snapshot=CutPool(pool) if cfg.keep_pools else None,
+            pool_snapshot=CutPool(pool.i.copy(), pool.s.copy()) if cfg.keep_pools else None,
             solution=(sol.x, sol.y, sol.z) if cfg.keep_pools else None,
         )
         trace.rounds.append(record)

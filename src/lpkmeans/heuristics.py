@@ -119,18 +119,15 @@ def round_lp_solution(
     points: PointSet,
     k: int,
     cfg: LloydConfig,
-    mode: str = "normalized",
 ) -> tuple[Partition, float]:
-    """Round a fractional solution: leading eigenvectors give initial centers
-    (optionally rescaled to sum one), then Lloyd refines them.
+    """Round a fractional solution: leading eigenvectors, each rescaled to
+    sum one, give initial centers, then Lloyd refines them.
 
     An (exactly) integral input short-circuits to the partition it encodes:
     with a degenerate leading eigenspace the eigenbasis is an arbitrary
     rotation of the cluster indicators, so reading the blocks off directly is
     the only reliable way to keep rounding idempotent there.
     """
-    if mode not in ("unnormalized", "normalized"):
-        raise ValueError(f"unknown rounding mode {mode!r}")
     x = 0.5 * (x_lb + x_lb.T)
     n = points.n
     if x.shape != (n, n):
@@ -151,10 +148,9 @@ def round_lp_solution(
     centers = np.empty((k, points.m))
     for i in range(k):
         v = top[:, i]
-        if mode == "normalized":
-            total = v.sum()
-            if abs(total) > 1e-12 * np.sqrt(n):
-                v = v / total
+        total = v.sum()
+        if abs(total) > 1e-12 * np.sqrt(n):
+            v = v / total
         centers[i] = v @ points.coords
     assign, _ = _lloyd(points.coords, centers, cfg.max_iters)
     p = Partition(k, assign)

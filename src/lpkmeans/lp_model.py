@@ -20,37 +20,7 @@ import scipy.sparse as sp
 
 from lpkmeans.core import packed_diag_indices, packed_index, packed_len
 
-__all__ = [
-    "FacetInequality",
-    "CutPool",
-    "LpStandardForm",
-    "build",
-    "violation",
-    "active_cuts",
-    "all_cuts",
-]
-
-_ENUM_BUDGET = 2.8e7
-
-
-@dataclass(frozen=True)
-class FacetInequality:
-    """Cut identified by a point index i and a sorted index set S, i not in S."""
-
-    i: int
-    s: tuple[int, ...]
-
-    def __post_init__(self):
-        s = tuple(sorted(int(v) for v in self.s))
-        if len(s) < 2 or len(set(s)) != len(s):
-            raise ValueError("S must contain at least two distinct indices")
-        if self.i in s:
-            raise ValueError("i must not belong to S")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "i", int(self.i))
-
-    def sort_key(self) -> tuple:
-        return (self.i, self.s)
+__all__ = ["CutPool", "LpStandardForm", "build", "active_cuts", "all_cuts"]
 
 
 def _pad(s: np.ndarray, width: int) -> np.ndarray:
@@ -75,30 +45,13 @@ class CutPool:
     Row r is the cut (i[r], S_r), where S_r holds the non-negative entries of
     s[r] in ascending order and -1 pads the row to the widest set in the
     pool.  Rows keep their insertion order; a row equal to an earlier one is
-    never stored.  Iterating yields :class:`FacetInequality` views.
+    never stored.  The constructor wraps rows that are already canonical and
+    distinct; :meth:`extend` is the way to add rows that may repeat.
     """
 
-    def __init__(self, cuts=()):
-        if isinstance(cuts, CutPool):
-            self.i, self.s = cuts.i.copy(), cuts.s.copy()
-            return
-        cuts = list(cuts)
-        self.i = np.empty(0, dtype=np.int64)
-        self.s = np.empty((0, 2), dtype=np.int64)
-        if cuts:
-            width = max(len(c.s) for c in cuts)
-            s = np.full((len(cuts), width), -1, dtype=np.int64)
-            for r, cut in enumerate(cuts):
-                s[r, : len(cut.s)] = cut.s
-            self.extend(CutPool._of(np.array([c.i for c in cuts], dtype=np.int64), s))
-
-    @staticmethod
-    def _of(i: np.ndarray, s: np.ndarray) -> CutPool:
-        """Wrap rows that are already canonical and distinct."""
-        pool = CutPool()
-        pool.i = np.asarray(i, dtype=np.int64)
-        pool.s = np.asarray(s, dtype=np.int64)
-        return pool
+    def __init__(self, i=(), s=None):
+        self.i = np.asarray(i, dtype=np.int64)
+        self.s = np.asarray(s if s is not None else np.empty((0, 2)), dtype=np.int64)
 
     @property
     def width(self) -> int:
@@ -106,16 +59,6 @@ class CutPool:
 
     def __len__(self) -> int:
         return self.i.size
-
-    def __iter__(self):
-        for i, row in zip(self.i.tolist(), self.s.tolist()):
-            yield FacetInequality(i, tuple(v for v in row if v >= 0))
-
-    def __getitem__(self, idx):
-        if isinstance(idx, (int, np.integer)):
-            row = self.s[idx]
-            return FacetInequality(int(self.i[idx]), tuple(row[row >= 0].tolist()))
-        return self.take(idx)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CutPool):
@@ -127,13 +70,12 @@ class CutPool:
 
     __hash__ = None
 
-    def __contains__(self, cut: FacetInequality) -> bool:
-        return bool(self.lookup(CutPool([cut]))[0] >= 0)
-
     def take(self, rows) -> CutPool:
-        """The pool of the selected rows (a boolean mask or row indices), in
-        the order selected."""
-        return CutPool._of(self.i[rows], self.s[rows])
+        """The pool of the selected rows (a boolean mask, row indices or a
+        slice), in the order selected."""
+        return CutPool(self.i[rows], self.s[rows])
+
+    __getitem__ = take
 
     def _stacked_keys(self, other: CutPool) -> np.ndarray:
         width = max(self.width, other.width)
@@ -164,12 +106,11 @@ class CutPool:
         self.s = np.concatenate([_pad(self.s, width), _pad(other.s[fresh], width)])
         return fresh.size
 
-    def add(self, cut: FacetInequality) -> bool:
-        return self.extend(CutPool._of([cut.i], [cut.s])) == 1
-
     def violations(self, x: np.ndarray) -> np.ndarray:
-        """w_i(S) of every row at X.  Sums run as in :func:`violation`, so the
-        values agree bit for bit on rows as wide as the pool and on |S| <= 3."""
+        """w_i(S) = sum_{j in S} X_ij - X_ii - sum_{j<k in S} X_jk of every row
+        at X; > 0 means violated.  The sums run as in the scalar
+        ``reference_violation`` of tests/test_cut_pool.py, so the values agree
+        bit for bit on rows as wide as the pool and on |S| <= 3."""
         valid = self.s >= 0
         s = np.where(valid, self.s, 0)
         at_i = np.where(valid, x[self.i[:, None], s], 0.0)
@@ -201,15 +142,6 @@ class LpStandardForm:
     @property
     def n_vars(self) -> int:
         return self.c.size
-
-    def stacked(self) -> sp.csr_matrix:
-        """Equality rows followed by cut rows, CSR with sorted columns."""
-        if self.q.shape[0] == 0:
-            return self.a_eq
-        return sp.vstack([self.a_eq, self.q], format="csr")
-
-    def objective(self, x: np.ndarray) -> float:
-        return float(self.c @ x)
 
 
 def _equality_form(d: np.ndarray, k: int) -> LpStandardForm:
@@ -276,20 +208,6 @@ def build(d: np.ndarray, k: int, pool: CutPool, base: LpStandardForm | None = No
     return dataclasses.replace(base, q=_cut_rows(pool, base.n_points), cuts=pool)
 
 
-def violation(x: np.ndarray, cut: FacetInequality) -> float:
-    """w_i(S) = sum_{j in S} X_ij - X_ii - sum_{j<k in S} X_jk; > 0 means violated."""
-    i = cut.i
-    s = np.asarray(cut.s)
-    w = float(x[i, s].sum()) - float(x[i, i])
-    sub = x[np.ix_(s, s)]
-    w -= float(np.triu(sub, 1).sum())
-    return w
-
-
-def _pair_violations(x: np.ndarray, i: int, ju: np.ndarray, ku: np.ndarray) -> np.ndarray:
-    return x[i, ju] + x[i, ku] - x[i, i] - x[ju, ku]
-
-
 def _sample_without_replacement(rng: np.random.Generator, total: int, size: int) -> np.ndarray:
     """Floyd's algorithm: uniform size-subset of range(total) without
     materializing the range.  Step j's draw from [0, j] is taken in one
@@ -302,39 +220,19 @@ def _sample_without_replacement(rng: np.random.Generator, total: int, size: int)
 
 
 def active_cuts(
-    x: np.ndarray,
-    t: int,
-    eps_act: float = 1e-9,
-    cap: int | None = None,
-    seed: int = 0,
+    x: np.ndarray, eps_act: float = 1e-9, cap: int | None = None, seed: int = 0
 ) -> CutPool:
-    """Cuts with |S| <= t whose slack at X is within eps_act of zero.
+    """Pair cuts (|S| = 2) whose slack at X is within eps_act of zero.
 
     When more than ``cap`` cuts are tight, a uniform sample without
-    replacement is drawn under ``seed``.  The t = 2 family is scanned in two
-    passes so the full tight set never needs to be materialized.
+    replacement is drawn under ``seed``.  The cuts are scanned in two passes
+    so the full tight set never needs to be materialized.
     """
-    n = x.shape[0]
-    if t < 2:
-        raise ValueError("t must be >= 2")
-    if t == 2:
-        return _active_cuts_pairs(x, eps_act, cap, seed)
-    if float(n) ** (t + 1) > _ENUM_BUDGET:
-        raise ValueError(f"tight-cut enumeration with t={t} infeasible for n={n}")
-    pool = all_cuts(n, t)
-    tight = pool.take(np.abs(pool.violations(x)) <= eps_act)
-    if cap is not None and len(tight) > cap:
-        rng = np.random.Generator(np.random.Philox(seed))
-        tight = tight.take(_sample_without_replacement(rng, len(tight), cap))
-    return tight
-
-
-def _active_cuts_pairs(x: np.ndarray, eps_act: float, cap: int | None, seed: int) -> CutPool:
     n = x.shape[0]
     ju, ku = np.triu_indices(n, 1)
 
     def tight_flat(i: int) -> np.ndarray:
-        w = _pair_violations(x, i, ju, ku)
+        w = x[i, ju] + x[i, ku] - x[i, i] - x[ju, ku]
         ok = (np.abs(w) <= eps_act) & (ju != i) & (ku != i)
         return np.flatnonzero(ok)
 
@@ -364,7 +262,7 @@ def _active_cuts_pairs(x: np.ndarray, eps_act: float, cap: int | None, seed: int
         return CutPool()
     flat = np.concatenate(taken)
     anchors = np.repeat(np.flatnonzero(counts), [f.size for f in taken])
-    return CutPool._of(anchors, np.stack([ju[flat], ku[flat]], axis=1))
+    return CutPool(anchors, np.stack([ju[flat], ku[flat]], axis=1))
 
 
 def all_cuts(n: int, t: int) -> CutPool:
@@ -382,4 +280,4 @@ def all_cuts(n: int, t: int) -> CutPool:
             sets.append(_pad(c + (c >= i), width))  # index into range(n) without i
     if not anchors:
         return CutPool()
-    return CutPool._of(np.concatenate(anchors), np.concatenate(sets))
+    return CutPool(np.concatenate(anchors), np.concatenate(sets))

@@ -8,9 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lpkmeans.lp_model import _ENUM_BUDGET, CutPool, _pad
+from lpkmeans.lp_model import CutPool, _pad
 
 __all__ = ["SeparationReport", "separate_greedy", "separate_exhaustive"]
+
+_ENUM_BUDGET = 2.8e7  # largest n^(t_max + 1) an exhaustive separation may reach
 
 
 @dataclass
@@ -19,8 +21,6 @@ class SeparationReport:
 
     cuts: CutPool = field(default_factory=CutPool)
     violations: np.ndarray = field(default_factory=lambda: np.empty(0))
-    truncated: bool = False
-    exhaustive: bool = False
 
     def order(self) -> np.ndarray:
         """Rows most violated first; ties by (i, S), S compared as a tuple
@@ -33,7 +33,7 @@ def _report(chunks: list[tuple], width: int) -> SeparationReport:
     if not chunks:
         return SeparationReport()
     anchors, sets, violations = zip(*chunks)
-    cuts = CutPool._of(np.concatenate(anchors), np.concatenate([_pad(s, width) for s in sets]))
+    cuts = CutPool(np.concatenate(anchors), np.concatenate([_pad(s, width) for s in sets]))
     return SeparationReport(cuts, np.concatenate(violations))
 
 
@@ -132,13 +132,9 @@ def separate_exhaustive(
 
     report = _report(chunks, t_max)
     order = report.order()
-    if cap is not None and order.size > cap:
-        report.truncated = True
+    if cap is not None:
         order = order[:cap]
-    report.cuts = report.cuts.take(order)
-    report.violations = report.violations[order]
-    report.exhaustive = True
-    return report
+    return SeparationReport(report.cuts.take(order), report.violations[order])
 
 
 def _exhaustive_triples(x: np.ndarray, eps_vio: float) -> list[tuple]:

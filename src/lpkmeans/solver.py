@@ -24,13 +24,7 @@ from scipy.sparse._sparsetools import csr_matvec  # the kernel behind csr @ vect
 
 from lpkmeans.lp_model import LpStandardForm
 
-__all__ = [
-    "LpSolution",
-    "solve",
-    "safe_lower_bound",
-    "operator_norm_estimate",
-    "tolerance_schedule",
-]
+__all__ = ["LpSolution", "solve", "safe_lower_bound", "tolerance_schedule"]
 
 _EPS = 1e-12
 
@@ -72,31 +66,6 @@ def tolerance_schedule(r_g: float, start: float, floor: float) -> float:
     if not np.isfinite(r_g):
         return start
     return float(min(start, max(floor, 0.1 * r_g)))
-
-
-def operator_norm_estimate(lp: LpStandardForm) -> float:
-    """Spectral norm of the stacked constraint matrix, within ~2 percent:
-    power iteration on M^T M from a deterministic start."""
-    mat = lp.stacked()
-    mat_t = mat.T.tocsr()
-    m, nv = mat.shape
-    if m == 0 or nv == 0:
-        return 0.0
-    rng = np.random.Generator(np.random.Philox(0x5EED_0001))
-    v = rng.standard_normal(nv)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(2000):
-        w = mat_t @ (mat @ v)
-        norm = np.linalg.norm(w)
-        if norm <= _EPS:
-            return 0.0
-        new_sigma = math.sqrt(norm)
-        v = w / norm
-        if abs(new_sigma - sigma) <= 1e-7 * max(new_sigma, _EPS):
-            return new_sigma
-        sigma = new_sigma
-    return sigma
 
 
 def safe_lower_bound(lp: LpStandardForm, sol: LpSolution) -> float:
@@ -165,7 +134,6 @@ def solve(
     time_limit: float | None = None,
     max_iters: int = 400_000,
     warm: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    scaling: bool = True,
     step: float | None = None,
     primal_weight: float | None = None,
 ) -> LpSolution:
@@ -190,10 +158,7 @@ def solve(
     k_orig_t = k_orig.T.tocsr()
     q_rhs = np.concatenate([lp.b_eq, np.zeros(mi)])
 
-    if scaling:
-        k_s, dr, dc = _ruiz_and_pock_chambolle(k_orig)
-    else:
-        k_s, dr, dc = k_orig, np.ones(me + mi), np.ones(nv)
+    k_s, dr, dc = _ruiz_and_pock_chambolle(k_orig)
     k_s_t = k_s.T.tocsr()
     c_s = lp.c * dc
     q_s = q_rhs * dr

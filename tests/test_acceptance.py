@@ -28,12 +28,12 @@ from lpkmeans.core import (
 from lpkmeans.cutplane import SolveConfig, solve_kmeans_lp
 from lpkmeans.generators import GenSpec, generate
 from lpkmeans.heuristics import LloydConfig, kmeanspp_lloyd
-from lpkmeans.lp_model import CutPool, all_cuts, build
+from lpkmeans.lp_model import all_cuts, build
 from lpkmeans.separation import separate_exhaustive, separate_greedy
 from lpkmeans.cli import mix_seed
 from lpkmeans.solver import LpSolution, safe_lower_bound, solve
 
-from conftest import random_partition, random_points
+from conftest import cut_rows, random_partition, random_points
 
 F_KMEANS = 146.0 / 72.0
 F_LP = 54.0 / 28.0
@@ -58,7 +58,7 @@ def test_criterion_1_five_point_non_tightness():
     assert brute == F_KMEANS, "brute-force optimum must be 146/72 exactly"
 
     d = squared_distances(points)
-    lp = build(d, 2, CutPool(all_cuts(5, 2)))
+    lp = build(d, 2, all_cuts(5, 2))
     sol = solve(lp, tol=1e-8)
     _audit_direct(lp, sol)
     assert sol.status == "optimal_to_tol"
@@ -84,7 +84,7 @@ def test_criterion_2_five_ball_non_tightness():
         seed = mix_seed(20240202, trial)
         points, _ = generate(GenSpec("five_ball", radius=3e-3, n_prime=5, m=3, seed=seed))
         _, brute = kmeans_bruteforce(points, 2)
-        lp = build(squared_distances(points), 2, CutPool(all_cuts(25, 2)))
+        lp = build(squared_distances(points), 2, all_cuts(25, 2))
         sol = solve(lp, tol=1e-8)
         _audit_direct(lp, sol)
         margin = brute - sol.objective
@@ -110,7 +110,7 @@ def test_criterion_3_cutting_plane_equals_full_lp():
         _, trace, _ = solve_kmeans_lp(points, cfg)
         SHARED["audit_traces"].append((points, k, trace))
 
-        lp = build(squared_distances(points), k, CutPool(all_cuts(n, k)))
+        lp = build(squared_distances(points), k, all_cuts(n, k))
         ref = solve(lp, tol=1e-8)
         _audit_direct(lp, ref)
         err = abs(trace.f_lb - ref.objective) / (1.0 + abs(ref.objective))
@@ -176,7 +176,7 @@ def test_criterion_6_certify_soundness():
         if not state.success:
             continue
         checked += 1
-        lp = build(d, 2, CutPool(all_cuts(points.n, 2)))
+        lp = build(d, 2, all_cuts(points.n, 2))
         sol = solve(lp, tol=1e-8)
         _audit_direct(lp, sol)
         cost = kmeans_cost(points, planted)
@@ -192,7 +192,7 @@ def test_criterion_7_safe_bound_validity():
     # additionally cross-checked against an independent simplex solver
     if not SHARED["audit_direct"] and not SHARED["audit_traces"]:
         points, _ = generate(GenSpec("five_point"))
-        lp = build(squared_distances(points), 2, CutPool(all_cuts(5, 2)))
+        lp = build(squared_distances(points), 2, all_cuts(5, 2))
         for tol in (1e-1, 1e-3, 1e-8):
             _audit_direct(lp, solve(lp, tol=tol))
 
@@ -219,7 +219,7 @@ def test_criterion_7_safe_bound_validity():
         for rec in trace.rounds:
             if rec.pool_snapshot is None:
                 continue
-            lp = build(d, k, CutPool(rec.pool_snapshot))
+            lp = build(d, k, rec.pool_snapshot)
             ref = solve(lp, tol=1e-10, warm=rec.solution)
             checked += 1
             valid += rec.safe_bound <= ref.objective + 1e-9 * (1.0 + abs(ref.objective))
@@ -245,8 +245,8 @@ def test_criterion_8_separation_oracle_equivalence():
                     w -= sum(x[j, k] for j, k in itertools.combinations(s, 2))
                     if w > 1e-6:
                         expected.add((i, s))
-        exhaustive = {(c.i, c.s) for c in separate_exhaustive(x, t_max, 1e-6).cuts}
-        greedy = {(c.i, c.s) for c in separate_greedy(x, t_max, 1e-6).cuts}
+        exhaustive = set(cut_rows(separate_exhaustive(x, t_max, 1e-6).cuts))
+        greedy = set(cut_rows(separate_greedy(x, t_max, 1e-6).cuts))
         agree += exhaustive == expected and greedy <= exhaustive
     _report(8, agree == 200, f"{agree}/200 random matrices: exhaustive = brute force, greedy subset")
 

@@ -27,7 +27,7 @@ from lpkmeans.core import (
     unpack_matrix,
 )
 from lpkmeans.generators import GenSpec, generate
-from lpkmeans.lp_model import CutPool, all_cuts, build
+from lpkmeans.lp_model import all_cuts, build
 from lpkmeans.solver import solve
 
 
@@ -480,7 +480,7 @@ def test_rejects_distance_matrix_of_other_size(size):
     rng = np.random.default_rng(75)
     d = squared_distances(PointSet(rng.normal(size=(size, 2))))
     p = Partition(2, np.repeat([0, 1], 5))
-    for check in (proximity_check, gamma_values):
+    for check in (proximity_check, gamma_values, two_cluster_stats):
         with pytest.raises(ValueError, match=rf"\({size}, {size}\).*\(10, 10\)"):
             check(d, p)
 
@@ -709,7 +709,7 @@ def test_certify_success_implies_lp_optimal_partition():
         state = certify(gamma_values(d, planted), planted)
         if not state.success:
             continue
-        lp = build(d, 2, CutPool(all_cuts(16, 2)))
+        lp = build(d, 2, all_cuts(16, 2))
         sol = solve(lp, tol=1e-8)
         cost = kmeans_cost(pts, planted)
         assert abs(sol.objective - cost) <= 1e-6 * (1 + abs(cost))

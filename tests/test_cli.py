@@ -78,6 +78,11 @@ def test_solve_five_point_document(tmp_path, capsys):
     assert len(doc["assignments"]) == 5
     for key in ("f_lb", "rounds", "timings", "config"):
         assert key in doc
+    # spectral rounding has one mode, so neither the flag nor the key exists
+    assert "rounding_mode" not in doc["config"]
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", str(pts), "--k", "2", "--rounding-mode", "normalized"])
+    assert exc.value.code == 2  # argparse's code for an unknown flag
 
 
 def test_solve_singletons_exit_zero(tmp_path, capsys):
@@ -134,6 +139,9 @@ def test_solve_input_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "solve", "--input", str(ok), "--k", "5")
     assert code == 1
     assert "exceeds" in err
+    code, out, err = run_cli(capsys, "solve", "--input", str(ok), "--k", "2", "--t-max", "1")
+    assert code == 1 and out == ""
+    assert "t_cap must be >= 2" in err
     code, _, err = run_cli(capsys, "solve", "--input", str(tmp_path / "nope.csv"), "--k", "2")
     assert code == 1
 

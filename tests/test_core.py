@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import lpkmeans
 from lpkmeans.core import (
     Partition,
     PointSet,
@@ -22,6 +26,17 @@ from conftest import random_partition, random_points
 
 F_KMEANS = 146.0 / 72.0
 F_LP = 54.0 / 28.0
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition is deleted breaks
+    # `from lpkmeans.<module> import *`
+    names = ["lpkmeans"] + [f"lpkmeans.{m.name}" for m in pkgutil.iter_modules(lpkmeans.__path__)]
+    assert "lpkmeans.lp_model" in names
+    for name in names:
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, f"{name}.__all__ names {missing}"
 
 
 # ---------------------------------------------------------------------------

@@ -9,22 +9,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpkmeans.core import packed_index, packed_len
-from lpkmeans.lp_model import CutPool, FacetInequality, all_cuts, build, violation
+from lpkmeans.lp_model import all_cuts, build
 from lpkmeans.separation import separate_exhaustive, separate_greedy
+
+from conftest import cut_pool, cut_rows
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
-def reference_cut_rows(cuts: list[FacetInequality], n: int) -> sp.csr_matrix:
-    """One row per cut, assembled cut by cut through COO."""
+def reference_violation(x: np.ndarray, i: int, s: tuple[int, ...]) -> float:
+    """w_i(S) = sum_{j in S} X_ij - X_ii - sum_{j<k in S} X_jk of one cut."""
+    s = np.asarray(s)
+    w = float(x[i, s].sum()) - float(x[i, i])
+    w -= float(np.triu(x[np.ix_(s, s)], 1).sum())
+    return w
+
+
+def reference_cut_rows(cuts: list[tuple[int, tuple[int, ...]]], n: int) -> sp.csr_matrix:
+    """One row per (i, S) cut, assembled cut by cut through COO."""
     nv = packed_len(n)
     rows, cols, vals = [], [], []
-    for r, cut in enumerate(cuts):
-        s = np.asarray(cut.s)
+    for r, (i, s) in enumerate(cuts):
+        s = np.asarray(s)
         ju, ku = np.triu_indices(s.size, 1)
         ccols = np.concatenate([
-            packed_index(np.minimum(cut.i, s), np.maximum(cut.i, s), n),
-            [packed_index(cut.i, cut.i, n)],
+            packed_index(np.minimum(i, s), np.maximum(i, s), n),
+            [packed_index(i, i, n)],
             packed_index(s[ju], s[ku], n),
         ])
         cvals = np.concatenate([np.ones(s.size), [-1.0], -np.ones(ju.size)])
@@ -64,10 +74,10 @@ def symmetric(seed: int, n: int, levels: int | None = None) -> np.ndarray:
 @given(cut_lists())
 def test_cut_rows_match_reference(case):
     n, raw = case
-    pool = CutPool(FacetInequality(i, s) for i, s in raw)
+    pool = cut_pool(raw)
     d = np.zeros((n, n))
     q = build(d, 2, pool).q
-    ref = reference_cut_rows(list(pool), n)
+    ref = reference_cut_rows(cut_rows(pool), n)
     assert q.shape == ref.shape
     for name in ("indptr", "indices", "data"):
         got, want = getattr(q, name), getattr(ref, name)
@@ -78,14 +88,14 @@ def test_cut_rows_match_reference(case):
 @given(cut_lists(), st.integers(0, 2**32 - 1))
 def test_violations_match_scalar_formula(case, seed):
     n, raw = case
-    pool = CutPool(FacetInequality(i, s) for i, s in raw)
+    pool = cut_pool(raw)
     x = symmetric(seed, n)
     w = pool.violations(x)
-    for cut, value in zip(pool, w):
-        if len(cut.s) == 2:
-            assert value == violation(x, cut)
+    for (i, s), value in zip(cut_rows(pool), w):
+        if len(s) == 2:
+            assert value == reference_violation(x, i, s)
         else:
-            assert abs(value - violation(x, cut)) <= 1e-15
+            assert abs(value - reference_violation(x, i, s)) <= 1e-15
     assert w.shape == (len(pool),)
 
 
@@ -96,18 +106,18 @@ def test_deduplication_keeps_first_insertion_order(case, seed):
     rng = np.random.default_rng(seed)
     # every cut twice, the second time with S permuted
     doubled = raw + [(i, tuple(rng.permutation(s).tolist())) for i, s in raw]
-    pool = CutPool(FacetInequality(i, s) for i, s in doubled)
+    pool = cut_pool(doubled)
 
     first = list(dict.fromkeys((i, tuple(sorted(s))) for i, s in raw))
-    assert [c.sort_key() for c in pool] == first
-    assert pool.extend(CutPool(pool)) == 0
-    assert all(FacetInequality(i, s) in pool for i, s in doubled)
+    assert cut_rows(pool) == first
+    assert pool.extend(pool[:]) == 0
+    assert (pool.lookup(cut_pool(doubled)) >= 0).all()
 
     # a limit counts only the cuts actually added
     half = pool.take(slice(None, None, 2))
     missing = len(pool) - len(half)
     assert half.extend(pool, limit=1) == min(1, missing)
-    assert pool.lookup(half).tolist() == [first.index(c.sort_key()) for c in half]
+    assert pool.lookup(half).tolist() == [first.index(c) for c in cut_rows(half)]
 
 
 @PROPERTY
@@ -116,9 +126,9 @@ def test_deduplication_keeps_first_insertion_order(case, seed):
 def test_separation_order_matches_tuple_sort(n, t_max, levels, seed):
     x = symmetric(seed, n, levels)
     for report in (separate_greedy(x, t_max, 1e-6), separate_exhaustive(x, min(t_max, 3), 1e-6)):
-        rows = [(-w, c.i, c.s) for c, w in zip(report.cuts, report.violations.tolist())]
+        rows = [(-w, i, s) for (i, s), w in zip(cut_rows(report.cuts), report.violations.tolist())]
         ordered = report.cuts.take(report.order())
-        assert [(c.i, c.s) for c in ordered] == [(i, s) for _, i, s in sorted(rows)]
+        assert cut_rows(ordered) == [(i, s) for _, i, s in sorted(rows)]
     # exhaustive output is already in that order
     assert np.array_equal(report.order(), np.arange(len(report.cuts)))
 
@@ -131,4 +141,4 @@ def test_all_cuts_order_and_count():
             for size in range(2, t + 1)
             for s in itertools.combinations([v for v in range(n) if v != i], size)
         ]
-        assert [c.sort_key() for c in all_cuts(n, t)] == expected
+        assert cut_rows(all_cuts(n, t)) == expected

@@ -11,10 +11,10 @@ from lpkmeans.core import (
 )
 from lpkmeans.cutplane import SolveConfig, _age_cuts, gap, solve_kmeans_lp
 from lpkmeans.generators import GenSpec, generate
-from lpkmeans.lp_model import CutPool, all_cuts, build, violation
+from lpkmeans.lp_model import CutPool, all_cuts, build
 from lpkmeans.solver import solve
 
-from conftest import random_points
+from conftest import cut_rows, random_points
 
 F_KMEANS = 146.0 / 72.0
 F_LP = 54.0 / 28.0
@@ -39,25 +39,26 @@ def drop_slack_cuts(pool: CutPool, x: np.ndarray, eps_act: float) -> CutPool:
 
 def test_drop_slack_cuts(five_point):
     _, planted, d = five_point
-    pool = CutPool(all_cuts(5, 2))
+    pool = all_cuts(5, 2)
     lp = build(d, 2, pool)
     sol = solve(lp, tol=1e-8)
     from lpkmeans.core import unpack_matrix
 
     x = unpack_matrix(sol.x, 5)
     kept = drop_slack_cuts(pool, x, 1e-6)
-    expected = {(c.i, c.s) for c in pool if abs(violation(x, c)) <= 1e-6}
-    assert {(c.i, c.s) for c in kept} == expected
+    i, j, k = pool.i, pool.s[:, 0], pool.s[:, 1]
+    w = x[i, j] + x[i, k] - x[i, i] - x[j, k]  # every cut of the pool is a pair cut
+    assert kept == pool.take(np.abs(w) <= 1e-6)
     assert 0 < len(kept) < len(pool)
     # boundary behaviors
     assert len(drop_slack_cuts(pool, x, 1e9)) == len(pool)
     none_tight = drop_slack_cuts(pool, np.eye(5), 1e-9)
-    assert all(abs(violation(np.eye(5), c)) <= 1e-9 for c in none_tight)
+    assert (np.abs(none_tight.violations(np.eye(5))) <= 1e-9).all()
 
 
 def test_age_cuts_patience():
     x = np.full((3, 3), 1 / 3)  # every pair cut is tight
-    pool = CutPool(all_cuts(3, 2))
+    pool = all_cuts(3, 2)
     y = x.copy()
     y[0, 0] = 0.5  # only the cut anchored at 0, row 0, turns slack
     ages = np.array([0, 0, 5])
@@ -122,7 +123,7 @@ def test_cutting_plane_matches_direct_solve():
         _, trace, _ = solve_kmeans_lp(pts, cfg)
         assert trace.status in ("converged", "no_more_cuts")
         d = squared_distances(pts)
-        lp = build(d, k, CutPool(all_cuts(n, k)))
+        lp = build(d, k, all_cuts(n, k))
         ref = solve(lp, tol=1e-9)
         assert abs(trace.f_lb - ref.objective) <= 1e-5 * (1 + abs(ref.objective))
 
@@ -150,7 +151,6 @@ def test_zero_cost_bounds_clamped(coords):
 # the step and primal weight carried across rounds).
 K3_MIXED = {
     "escalate": (dict(lp_tol_start=1e-4), 1.4836915987580173, 1.483691598992277),
-    "t_start3": (dict(t_start=3, lp_tol_start=1e-4), 1.4836915762991896, 1.483691598992277),
 }
 K3_ASSIGN = [2, 2, 0, 0, 0, 2, 0, 1, 1, 2, 1, 1, 1, 1, 1, 2, 0, 2]
 
@@ -160,7 +160,7 @@ def k3_mixed_solve(**overrides):
     p, trace, tight = solve_kmeans_lp(points, SolveConfig(k=3, seed=10, keep_pools=True, **overrides))
     assert trace.status == "converged" and tight
     assert p.assign.tolist() == K3_ASSIGN
-    mixed = [r for r in trace.rounds if {len(c.s) for c in r.pool_snapshot} == {2, 3}]
+    mixed = [r for r in trace.rounds if {len(s) for _, s in cut_rows(r.pool_snapshot)} == {2, 3}]
     assert len(mixed) >= 2
     assert trace.rounds[-1].t_max == 3
     return trace
@@ -278,8 +278,9 @@ def test_max_rounds_reported(five_point):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(k=2, eps_opt=0.0)
-    with pytest.raises(ValueError):
-        SolveConfig(k=3, t_start=4)
+    with pytest.raises(ValueError, match="t_cap"):
+        SolveConfig(k=2, t_cap=1)
+    SolveConfig(k=3, t_cap=2)  # pair cuts only
     with pytest.raises(ValueError):
         SolveConfig(k=2, max_rounds=0)
 

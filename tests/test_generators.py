@@ -16,7 +16,7 @@ from lpkmeans.generators import (
     recovery_threshold,
     reference_nontight_matrix,
 )
-from lpkmeans.lp_model import CutPool, all_cuts, build, violation
+from lpkmeans.lp_model import all_cuts, build
 
 
 def test_five_point_exact_coordinates():
@@ -139,7 +139,7 @@ def test_reference_matrix_feasible_never_partition(n_prime):
     n = 5 * n_prime
     points, _ = generate(GenSpec("five_ball", radius=0.0, n_prime=n_prime, seed=1))
     d = squared_distances(points)
-    lp = build(d, 2, CutPool(all_cuts(n, 2)))
+    lp = build(d, 2, all_cuts(n, 2))
     xp = pack_matrix(xt)
     assert np.abs(lp.a_eq @ xp - lp.b_eq).max() < 1e-12
     assert (lp.q @ xp).max() <= 1e-12

@@ -19,7 +19,7 @@ from lpkmeans.heuristics import (
     round_lp_solution,
     upper_bound_update,
 )
-from lpkmeans.lp_model import CutPool, all_cuts, build
+from lpkmeans.lp_model import all_cuts, build
 from lpkmeans.solver import solve
 
 from conftest import random_partition, random_points
@@ -102,7 +102,7 @@ def test_round_partition_matrix_idempotent():
         pts = random_points(rng, n, 3)
         p = random_partition(rng, n, k)
         x = partition_matrix(p)
-        q, cost = round_lp_solution(x, pts, k, LloydConfig(seed=1), mode="normalized")
+        q, cost = round_lp_solution(x, pts, k, LloydConfig(seed=1))
         assert same_partition(q.assign, p.assign)
         assert cost == pytest.approx(kmeans_cost(pts, p), rel=1e-12)
 
@@ -121,7 +121,7 @@ def test_round_solved_five_point_lp(five_point):
     # spectral centers depend on the eigensolver's basis; the result must be a
     # valid 2-partition, never better than the true optimum, and stable
     points, _, d = five_point
-    lp = build(d, 2, CutPool(all_cuts(5, 2)))
+    lp = build(d, 2, all_cuts(5, 2))
     sol = solve(lp, tol=1e-8)
     x_lb = unpack_matrix(sol.x, 5)
     p1, c1 = round_lp_solution(x_lb, points, 2, LloydConfig(seed=1))
@@ -129,17 +129,6 @@ def test_round_solved_five_point_lp(five_point):
     assert p1.k == 2
     assert c1 >= F_KMEANS - 1e-9
     assert c1 == c2 and np.array_equal(p1.assign, p2.assign)
-
-
-def test_round_modes_differ_only_in_scaling():
-    rng = np.random.default_rng(59)
-    pts = random_points(rng, 10, 2)
-    x = np.full((10, 10), 1 / 10) + 0.01 * np.eye(10)
-    for mode in ("normalized", "unnormalized"):
-        p, cost = round_lp_solution(x, pts, 2, LloydConfig(seed=1), mode=mode)
-        assert p.k == 2
-    with pytest.raises(ValueError):
-        round_lp_solution(x, pts, 2, LloydConfig(seed=1), mode="bogus")
 
 
 def test_round_eigenspace_mass_check():

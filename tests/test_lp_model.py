@@ -13,37 +13,41 @@ from lpkmeans.core import (
     squared_distances,
 )
 from lpkmeans.generators import reference_nontight_matrix
-from lpkmeans.lp_model import (
-    CutPool,
-    FacetInequality,
-    active_cuts,
-    _sample_without_replacement,
-    all_cuts,
-    build,
-    violation,
-)
+from lpkmeans.lp_model import CutPool, _sample_without_replacement, active_cuts, all_cuts, build
+from lpkmeans.separation import separate_exhaustive, separate_greedy
 
-from conftest import random_partition, random_points
+from conftest import cut_pool, cut_rows, random_partition, random_points
 
 
 def test_facet_inequality_canonicalization():
-    cut = FacetInequality(3, (5, 1, 2))
-    assert cut.s == (1, 2, 5)
-    with pytest.raises(ValueError):
-        FacetInequality(1, (1, 2))
-    with pytest.raises(ValueError):
-        FacetInequality(0, (2,))
-    with pytest.raises(ValueError):
-        FacetInequality(0, (2, 2))
+    # CutPool wraps rows without checking them, so every producer of cuts
+    # must emit canonical ones: S of two or more distinct indices without i,
+    # ascending, -1 padding only at the end, and no row twice
+    rng = np.random.default_rng(25)
+    a = rng.random((9, 9))
+    x = 0.5 * (a + a.T)
+    pools = [
+        all_cuts(6, 4),
+        active_cuts(partition_matrix(random_partition(rng, 9, 3))),
+        separate_greedy(x, 4).cuts,
+        separate_exhaustive(x, 3).cuts,
+    ]
+    for pool in pools:
+        assert len(pool) > 0
+        for i, s in cut_rows(pool):
+            assert len(s) >= 2 and i not in s
+            assert list(s) == sorted(set(s))
+        assert (np.diff((pool.s < 0).astype(int), axis=1) >= 0).all()  # no member after padding
+        assert pool.lookup(pool).tolist() == list(range(len(pool)))
 
 
 def test_cut_pool_deduplicates():
     pool = CutPool()
-    assert pool.add(FacetInequality(0, (1, 2)))
-    assert not pool.add(FacetInequality(0, (2, 1)))
-    assert pool.add(FacetInequality(1, (0, 2)))
+    assert pool.extend(CutPool([0], [[1, 2]])) == 1
+    assert pool.extend(CutPool([0], [[1, 2]])) == 0
+    assert pool.extend(CutPool([1], [[0, 2]])) == 1
     assert len(pool) == 2
-    assert FacetInequality(0, (1, 2)) in pool
+    assert pool.lookup(CutPool([0, 2], [[1, 2], [0, 1]])).tolist() == [0, -1]
 
 
 def test_build_counts(five_point):
@@ -65,7 +69,7 @@ def test_build_rejects_bad_k(five_point):
 
 def test_reference_matrix_feasible_in_built_lp(five_point):
     _, _, d = five_point
-    lp = build(d, 2, CutPool(all_cuts(5, 2)))
+    lp = build(d, 2, all_cuts(5, 2))
     xp = pack_matrix(reference_nontight_matrix(1))
     assert (lp.q @ xp).max() <= 1e-12
 
@@ -79,7 +83,7 @@ def test_partition_matrices_feasible_any_pool():
             continue
         pts = random_points(rng, n, 2)
         d = squared_distances(pts)
-        pool = CutPool(all_cuts(n, min(3, k)))
+        pool = all_cuts(n, min(3, k))
         lp = build(d, k, pool)
         xp = pack_matrix(partition_matrix(random_partition(rng, n, k)))
         assert np.abs(lp.a_eq @ xp - lp.b_eq).max() < 1e-12
@@ -93,7 +97,7 @@ def test_violation_arithmetic():
     x[0, 1] = x[1, 0] = 0.6
     x[0, 2] = x[2, 0] = 0.6
     x[1, 2] = x[2, 1] = 0.1
-    assert violation(x, FacetInequality(0, (1, 2))) == pytest.approx(0.6, abs=1e-15)
+    assert CutPool([0], [[1, 2]]).violations(x)[0] == pytest.approx(0.6, abs=1e-15)
 
 
 def test_violation_nonpositive_on_partition_matrices():
@@ -107,22 +111,21 @@ def test_violation_nonpositive_on_partition_matrices():
             i = int(rng.integers(n))
             size = int(rng.integers(2, min(4, n - 1) + 1))
             s = rng.choice([v for v in range(n) if v != i], size=size, replace=False)
-            assert violation(x, FacetInequality(i, tuple(int(v) for v in s))) <= 1e-12
+            assert CutPool([i], [np.sort(s)]).violations(x)[0] <= 1e-12
             trials += 1
 
 
 def test_violation_nonpositive_at_reference_matrix(five_point):
     xt = reference_nontight_matrix(1)
-    for cut in all_cuts(5, 2):
-        assert violation(xt, cut) <= 1e-12
+    assert all_cuts(5, 2).violations(xt).max() <= 1e-12
 
 
 def test_build_incremental_consistency(five_point):
     _, _, d = five_point
-    base = [FacetInequality(0, (1, 2)), FacetInequality(1, (2, 3))]
-    extra = FacetInequality(2, (3, 4))
-    lp_incr = build(d, 2, CutPool(base + [extra]))
-    lp_full = build(d, 2, CutPool(base))
+    base = [(0, (1, 2)), (1, (2, 3))]
+    extra = (2, (3, 4))
+    lp_incr = build(d, 2, cut_pool(base + [extra]))
+    lp_full = build(d, 2, cut_pool(base))
     # appending the cut reproduces the row-for-row identical structure
     assert lp_incr.q.shape[0] == lp_full.q.shape[0] + 1
     a = lp_incr.q[:2].toarray()
@@ -143,7 +146,7 @@ def test_objective_consistency_random_matrices():
         from lpkmeans.core import lp_objective
 
         direct = lp_objective(x, d)
-        packed = lp.objective(pack_matrix(x))
+        packed = float(lp.c @ pack_matrix(x))
         assert abs(direct - packed) <= 1e-12 * (1.0 + abs(direct))
 
 
@@ -154,20 +157,20 @@ def test_objective_consistency_random_matrices():
 
 def test_active_cuts_identity_empty():
     x = np.eye(5)
-    assert len(active_cuts(x, 2)) == 0
+    assert len(active_cuts(x)) == 0
 
 
 def test_active_cuts_single_cluster_all_tight():
     x = np.full((3, 3), 1 / 3)
-    pool = active_cuts(x, 2)
+    pool = active_cuts(x)
     assert len(pool) == 3
-    assert {(c.i, c.s) for c in pool} == {(0, (1, 2)), (1, (0, 2)), (2, (0, 1))}
+    assert set(cut_rows(pool)) == {(0, (1, 2)), (1, (0, 2)), (2, (0, 1))}
 
 
 def test_active_cuts_five_point_frozen_tight_set(five_point):
     _, planted, _ = five_point
     x = partition_matrix(planted)
-    pool = active_cuts(x, 2, eps_act=1e-9)
+    pool = active_cuts(x, eps_act=1e-9)
     # independent enumeration of all 30 pair cuts
     expected = set()
     for i in range(5):
@@ -176,22 +179,21 @@ def test_active_cuts_five_point_frozen_tight_set(five_point):
             if abs(w) <= 1e-9:
                 expected.add((i, (j, k)))
     assert len(expected) == 21
-    assert {(c.i, c.s) for c in pool} == expected
+    assert set(cut_rows(pool)) == expected
 
 
 def test_active_cuts_sampling_deterministic_and_capped():
     rng = np.random.default_rng(24)
     p = random_partition(rng, 30, 3)
     x = partition_matrix(p)
-    full = active_cuts(x, 2)
-    capped_a = active_cuts(x, 2, cap=25, seed=99)
-    capped_b = active_cuts(x, 2, cap=25, seed=99)
-    capped_c = active_cuts(x, 2, cap=25, seed=100)
+    full = active_cuts(x)
+    capped_a = active_cuts(x, cap=25, seed=99)
+    capped_b = active_cuts(x, cap=25, seed=99)
+    capped_c = active_cuts(x, cap=25, seed=100)
     assert len(capped_a) == 25
-    assert [c.sort_key() for c in capped_a] == [c.sort_key() for c in capped_b]
-    assert [c.sort_key() for c in capped_a] != [c.sort_key() for c in capped_c]
-    keys = {c.sort_key() for c in full}
-    assert all(c.sort_key() in keys for c in capped_a)
+    assert capped_a == capped_b
+    assert capped_a != capped_c
+    assert (full.lookup(capped_a) >= 0).all()
 
 
 def floyd_one_draw_per_step(rng, total, size):
@@ -224,18 +226,8 @@ def test_sample_without_replacement_keeps_stream(shape, seed):
     assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
 
 
-def test_active_cuts_triples():
-    x = np.full((4, 4), 0.25)
-    pool = active_cuts(x, 3)
-    # every pair cut has w = 0.25, every triple w = 2*0.25 - 3*0.25 < 0;
-    # only the pair cuts are tight
-    sizes = {len(c.s) for c in pool}
-    assert sizes == {2}
-    assert len(pool) == 4 * 3
-
-
 def test_packed_column_count(five_point):
     _, _, d = five_point
-    lp = build(d, 2, CutPool(all_cuts(5, 2)))
+    lp = build(d, 2, all_cuts(5, 2))
     assert lp.n_vars == packed_len(5)
     assert lp.q.shape[0] == 30

@@ -5,10 +5,9 @@ import pytest
 
 from lpkmeans.core import partition_matrix
 from lpkmeans.generators import reference_nontight_matrix
-from lpkmeans.lp_model import FacetInequality, violation
 from lpkmeans.separation import separate_exhaustive, separate_greedy
 
-from conftest import random_partition
+from conftest import cut_rows, random_partition
 
 
 def brute_violated(x: np.ndarray, t_max: int, eps_vio: float) -> set:
@@ -49,7 +48,7 @@ def test_greedy_three_point_example():
     x[0, 2] = x[2, 0] = 0.6
     x[1, 2] = x[2, 1] = 0.1
     report = separate_greedy(x, 2, eps_vio=1e-6)
-    found = {(c.i, c.s): v for c, v in zip(report.cuts, report.violations)}
+    found = dict(zip(cut_rows(report.cuts), report.violations))
     assert (0, (1, 2)) in found
     assert found[(0, (1, 2))] == pytest.approx(0.6, abs=1e-15)
 
@@ -62,7 +61,7 @@ def test_exhaustive_empty_on_partition_matrix():
     rng = np.random.default_rng(42)
     x = partition_matrix(random_partition(rng, 9, 3))
     report = separate_exhaustive(x, 3)
-    assert len(report.cuts) == 0 and report.exhaustive
+    assert len(report.cuts) == 0
 
 
 def test_exhaustive_three_point_example():
@@ -72,7 +71,7 @@ def test_exhaustive_three_point_example():
     x[0, 2] = x[2, 0] = 0.6
     x[1, 2] = x[2, 1] = 0.1
     report = separate_exhaustive(x, 2)
-    assert [(c.i, c.s) for c in report.cuts] == [(0, (1, 2))]
+    assert cut_rows(report.cuts) == [(0, (1, 2))]
 
 
 @pytest.mark.parametrize("t_max", [2, 3])
@@ -83,7 +82,7 @@ def test_exhaustive_matches_bruteforce(t_max):
         x = random_symmetric(rng, n)
         expected = brute_violated(x, t_max, 1e-6)
         report = separate_exhaustive(x, t_max, 1e-6)
-        assert {(c.i, c.s) for c in report.cuts} == expected
+        assert set(cut_rows(report.cuts)) == expected
 
 
 def test_exhaustive_t4_matches_bruteforce():
@@ -91,7 +90,7 @@ def test_exhaustive_t4_matches_bruteforce():
     x = random_symmetric(rng, 8)
     expected = brute_violated(x, 4, 1e-6)
     report = separate_exhaustive(x, 4, 1e-6)
-    assert {(c.i, c.s) for c in report.cuts} == expected
+    assert set(cut_rows(report.cuts)) == expected
 
 
 def test_greedy_subset_of_exhaustive():
@@ -100,8 +99,8 @@ def test_greedy_subset_of_exhaustive():
         n = int(rng.integers(4, 13))
         x = random_symmetric(rng, n)
         for t in (2, 3):
-            greedy = {(c.i, c.s) for c in separate_greedy(x, t).cuts}
-            full = {(c.i, c.s) for c in separate_exhaustive(x, t).cuts}
+            greedy = set(cut_rows(separate_greedy(x, t).cuts))
+            full = set(cut_rows(separate_exhaustive(x, t).cuts))
             assert greedy <= full
 
 
@@ -111,9 +110,8 @@ def test_greedy_soundness_no_incremental_drift():
         n = int(rng.integers(5, 15))
         x = random_symmetric(rng, n)
         report = separate_greedy(x, 4, 1e-6)
-        for cut, w in zip(report.cuts, report.violations):
-            assert w > 1e-6
-            assert abs(violation(x, cut) - w) < 1e-12
+        assert (report.violations > 1e-6).all()
+        assert np.abs(report.cuts.violations(x) - report.violations).max(initial=0.0) < 1e-12
 
 
 def test_greedy_general_path_agrees_with_pair_path():
@@ -137,8 +135,8 @@ def test_greedy_general_path_agrees_with_pair_path():
                 best = int(np.argmax(gammas))
                 w = x[i, j] - diag[i] + gammas[best]
                 if w > 1e-6:
-                    slow.add(FacetInequality(i, (j, cands[best])).sort_key())
-        assert {(c.i, c.s) for c in fast.cuts} == slow
+                    slow.add((i, (j, cands[best])))
+        assert set(cut_rows(fast.cuts)) == slow
 
 
 def test_exhaustive_cap_and_order():
@@ -147,7 +145,6 @@ def test_exhaustive_cap_and_order():
     full = separate_exhaustive(x, 2)
     capped = separate_exhaustive(x, 2, cap=5)
     if len(full.cuts) > 5:
-        assert capped.truncated
         assert len(capped.cuts) == 5
         # most violated first
         assert capped.violations.tolist() == sorted(capped.violations, reverse=True)
@@ -159,7 +156,7 @@ def test_determinism():
     x = random_symmetric(rng, 12)
     a = separate_greedy(x, 3)
     b = separate_greedy(x, 3)
-    assert [(c.i, c.s) for c in a.cuts] == [(c.i, c.s) for c in b.cuts]
+    assert a.cuts == b.cuts
     assert np.array_equal(a.violations, b.violations)
 
 
