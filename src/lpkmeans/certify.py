@@ -63,6 +63,8 @@ class PairValues:
 
     def pair_index(self, c: int, a: int, b: int) -> int:
         size = self.clusters[c].size
+        if a == b:
+            raise ValueError(f"({a}, {b}) is not a pair of two distinct points")
         if a > b:
             a, b = b, a
         return a * size - a * (a + 1) // 2 + (b - a - 1)
@@ -98,7 +100,7 @@ class CertifyState:
 
     def recomputed_r_bar(self) -> tuple[np.ndarray, np.ndarray]:
         """Residuals rebuilt from gamma and the multipliers alone."""
-        out = tuple(v.copy() for v in self.gamma.values)
+        out = tuple(np.array(v, dtype=np.float64) for v in self.gamma.values)
         pos = {int(g): (c, a) for c in (0, 1) for a, g in enumerate(self.gamma.clusters[c])}
         for (k, i, j), v in self.lam.items():
             c, ka = pos[k]
@@ -302,18 +304,37 @@ def certify(gamma: PairValues, p: Partition, audit: bool = False) -> CertifyStat
     surplus from pairs (i, k), (j, k) sharing a third in-cluster point k,
     scanned in ascending index order; a pair whose scan ends still negative
     makes the whole construction fail.  Runs in Theta(n^3) time worst case.
-    With ``audit`` every update is re-derived from the multipliers and
-    checked to 1e-12.
+
+    ``gamma`` must hold, for each cluster of ``p``, a 1-D array of
+    sz (sz - 1) / 2 finite values; they are copied as float64 into the
+    residuals ``r_bar``.  The scan reads and writes the residuals as Python
+    floats through a ``memoryview`` of each array, and skips a donor k as
+    soon as r_ak, read first, or then r_bk is <= 0, before forming the
+    transfer min(-r_ab, r_ak, r_bk), which could only be positive if both
+    were.  With ``audit`` every update is re-derived from the multipliers
+    and checked to 1e-12.
     """
     g1, g2 = _ordered_clusters(p)
     if tuple(map(tuple, gamma.clusters)) != (tuple(g1), tuple(g2)):
         raise ValueError("gamma values do not match the partition's clusters")
-
-    r_bar = tuple(v.copy() for v in gamma.values)
+    for c in (0, 1):
+        sz = gamma.clusters[c].size
+        values = gamma.values[c]
+        if np.shape(values) != (sz * (sz - 1) // 2,):
+            raise ValueError(
+                f"gamma values of shape {np.shape(values)} for cluster {c} of {sz} points,"
+                f" which needs shape {(sz * (sz - 1) // 2,)}"
+            )
+    r_bar = tuple(np.array(v, dtype=np.float64) for v in gamma.values)
+    for v in r_bar:
+        # min and max propagate NaN, and need no temporary array
+        if v.size and not (np.isfinite(v.min()) and np.isfinite(v.max())):
+            raise ValueError("gamma values must be finite")
     state = CertifyState(gamma=gamma, r_bar=r_bar)
 
     # the slot of local pair (a, b), a < b, is base[a] + b
     bases = []
+    member_lists = []
     local = [0] * p.n  # global index -> position in its cluster
     worklist: list[tuple[float, int, int, int]] = []
     for c in (0, 1):
@@ -321,7 +342,8 @@ def certify(gamma: PairValues, p: Partition, audit: bool = False) -> CertifyStat
         sz = members.size
         a_idx = np.arange(sz)
         bases.append((a_idx * sz - a_idx * (a_idx + 1) // 2 - a_idx - 1).tolist())
-        for a, g in enumerate(members.tolist()):
+        member_lists.append(members.tolist())
+        for a, g in enumerate(member_lists[c]):
             local[g] = a
         au, bu = np.triu_indices(sz, 1)
         neg = np.flatnonzero(r_bar[c] < 0.0)
@@ -331,24 +353,34 @@ def certify(gamma: PairValues, p: Partition, audit: bool = False) -> CertifyStat
         ))
     worklist.sort()  # (value, gi, gj) is unique, so c never decides the order
 
+    views = [memoryview(v) for v in r_bar]
     for _, gi, gj, c in worklist:
-        members = gamma.clusters[c]
+        members = member_lists[c]
         base = bases[c]
+        rc = views[c]
         a, b = local[gi], local[gj]
-        idx_ab = base[a] + b
-        rc = r_bar[c]
-        for k in range(members.size):
+        base_a, base_b = base[a], base[b]
+        idx_ab = base_a + b
+        r_ab = rc[idx_ab]
+        for k in range(len(members)):
             if k == a or k == b:
                 continue
-            idx_ak = base[a] + k if k > a else base[k] + a
-            idx_bk = base[b] + k if k > b else base[k] + b
-            omega = min(-rc[idx_ab], rc[idx_ak], rc[idx_bk])
+            idx_ak = base_a + k if k > a else base[k] + a
+            r_ak = rc[idx_ak]
+            if r_ak <= 0.0:
+                continue
+            idx_bk = base_b + k if k > b else base[k] + b
+            r_bk = rc[idx_bk]
+            if r_bk <= 0.0:
+                continue
+            omega = min(-r_ab, r_ak, r_bk)
             if omega <= 0.0:
                 continue
-            rc[idx_ak] -= omega
-            rc[idx_bk] -= omega
-            rc[idx_ab] += omega
-            key = (int(members[k]), gi, gj)
+            rc[idx_ak] = r_ak - omega
+            rc[idx_bk] = r_bk - omega
+            r_ab += omega
+            rc[idx_ab] = r_ab
+            key = (members[k], gi, gj)
             state.lam[key] = state.lam.get(key, 0.0) + omega
             if audit:
                 ref = state.recomputed_r_bar()
@@ -357,12 +389,12 @@ def certify(gamma: PairValues, p: Partition, audit: bool = False) -> CertifyStat
                     float(np.abs(ref[1] - r_bar[1]).max()) if ref[1].size else 0.0,
                 ) > 1e-12:
                     raise AssertionError("residual bookkeeping drifted")
-            if rc[idx_ab] >= 0.0:
+            if r_ab >= 0.0:
                 break
-        if rc[idx_ab] < 0.0:
+        if r_ab < 0.0:
             state.success = False
             state.failed_pair = (gi, gj)
-            state.deficit = float(rc[idx_ab])
+            state.deficit = r_ab
             return state
 
     state.success = True

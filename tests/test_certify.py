@@ -1,12 +1,13 @@
 import dataclasses
 import gc
 import itertools
+import re
 import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lpkmeans.certify
@@ -658,23 +659,139 @@ def sbm_instances(draw):
     return squared_distances(pts), planted.assign
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.one_of(two_cluster_instances(max_size=30), sbm_instances()))
-def test_certify_state_identical_to_pair_index_loop(instance):
+def gamma_of(instance):
     d, assign = instance
     p = Partition(2, assign)
-    g = gamma_values(d, p)
+    return gamma_values(d, p), p
+
+
+# exact zeros of both signs, ties, and donors below and above a deficit
+DRAWN_GAMMA = [-1.5, -0.0, 0.0, 0.25, 1.0]
+
+
+@st.composite
+def drawn_gamma(draw, max_size=7):
+    """``PairValues`` built directly from values drawn from DRAWN_GAMMA, so
+    donors hit both skip tests on exact zeros and -0.0."""
+    sizes = [draw(st.integers(1, max_size)), draw(st.integers(1, max_size))]
+    p = Partition(2, np.array(draw(st.permutations([0] * sizes[0] + [1] * sizes[1]))))
+    clusters = lpkmeans.certify._ordered_clusters(p)
+    values = tuple(
+        np.array(draw(st.lists(st.sampled_from(DRAWN_GAMMA), min_size=count, max_size=count)))
+        for count in (g.size * (g.size - 1) // 2 for g in clusters)
+    )
+    return PairValues(clusters, values), p
+
+
+def lone_last_donor():
+    """Pair (0, 1) of a 4-point cluster: k = 2 is skipped on its second read,
+    r_bk = 0.0, and only k = 3 can give, which leaves the pair 0.5 short."""
+    p = Partition(2, np.array([0, 0, 0, 0, 1]))
+    clusters = lpkmeans.certify._ordered_clusters(p)
+    # pairs (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3) of the larger cluster
+    large = np.array([-1.5, 0.25, 1.0, 0.0, 1.0, -0.0])
+    return PairValues(clusters, (np.empty(0), large)), p
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(
+    two_cluster_instances(max_size=30).map(gamma_of), sbm_instances().map(gamma_of), drawn_gamma()
+))
+@example(lone_last_donor())
+def test_certify_state_identical_to_pair_index_loop(case):
+    g, p = case
     before = [v.copy() for v in g.values]
     got = certify(g, p)
     ref = pair_index_certify(g, p)
     assert got.gamma is g
     for c in (0, 1):
         assert np.array_equal(g.values[c], before[c])
-        assert np.array_equal(got.r_bar[c], ref.r_bar[c])
+        assert got.r_bar[c].tobytes() == ref.r_bar[c].tobytes()  # -0.0 included
     assert list(got.lam.items()) == list(ref.lam.items())
     assert got.success == ref.success
     assert got.failed_pair == ref.failed_pair
     assert got.deficit == ref.deficit
+
+
+def test_audit_checks_after_every_multiplier(monkeypatch):
+    d, planted = sbm_80()
+    g = gamma_values(d, planted)
+    recomputed = lpkmeans.certify.CertifyState.recomputed_r_bar
+    multipliers = []
+
+    def drifting(state):
+        multipliers.append(len(state.lam))
+        out = recomputed(state)
+        if len(multipliers) == 3:
+            out[1][0] += 1e-9
+        return out
+
+    monkeypatch.setattr(lpkmeans.certify.CertifyState, "recomputed_r_bar", drifting)
+    with pytest.raises(AssertionError, match="drifted"):
+        certify(g, planted, audit=True)
+    assert multipliers == [1, 2, 3]
+
+
+def sbm_40_gamma():
+    """sbm n=40 whose repair fails after 45 multipliers."""
+    pts, planted = generate(GenSpec("sbm", n=40, m=2, delta=1.9, r1=1.0, seed=3))
+    return gamma_values(squared_distances(pts), planted), planted
+
+
+def five_short(v):
+    return v[:-5]
+
+
+def three_long(v):
+    return v[:3]
+
+
+def two_dimensional(v):
+    return v.reshape(10, 19)
+
+
+@pytest.mark.parametrize("malform", [five_short, three_long, two_dimensional])
+@pytest.mark.parametrize("c", [0, 1])
+def test_certify_rejects_malformed_gamma(malform, c):
+    g, planted = sbm_40_gamma()
+    values = list(g.values)
+    values[c] = malform(values[c])
+    shape = re.escape(str(values[c].shape))
+    with pytest.raises(ValueError, match=rf"{shape} for cluster {c} of 20 points.*\(190,\)"):
+        certify(PairValues(g.clusters, tuple(values)), planted)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_certify_rejects_non_finite_gamma(bad):
+    g, planted = sbm_40_gamma()
+    values = [v.copy() for v in g.values]
+    values[1][7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        certify(PairValues(g.clusters, tuple(values)), planted)
+
+
+def test_certify_float32_gamma_evaluated_as_float64():
+    g, planted = sbm_40_gamma()
+    g32 = PairValues(g.clusters, tuple(v.astype(np.float32) for v in g.values))
+    g64 = PairValues(g.clusters, tuple(v.astype(np.float64) for v in g32.values))
+    got, expected = certify(g32, planted, audit=True), certify(g64, planted)
+    assert len(expected.lam) == 45 and not expected.success
+    for c in (0, 1):
+        assert got.r_bar[c].dtype == np.float64
+        assert got.r_bar[c].tobytes() == expected.r_bar[c].tobytes()
+    assert list(got.lam.items()) == list(expected.lam.items())
+    assert (got.failed_pair, got.deficit) == (expected.failed_pair, expected.deficit)
+
+
+def test_pair_index_rejects_a_point_paired_with_itself():
+    members = np.arange(20)
+    g = PairValues((members, members + 20), (np.arange(190.0), np.arange(190.0)))
+    assert g.pair_index(0, 2, 19) == g.pair_index(0, 19, 2) == 53
+    for a in (0, 3, 19):
+        with pytest.raises(ValueError, match="distinct"):
+            g.pair_index(0, a, a)
+        with pytest.raises(ValueError, match="distinct"):
+            g.get(1, a, a)
 
 
 def test_certify_monotone_under_uniform_shift():
