@@ -2,8 +2,8 @@
 the greedy multiplier-repair construction of a dual certificate.
 
 Pair quantities are stored per cluster as flat arrays over the local pairs
-(a, b), a < b, in row-major upper-triangle order; ``pair_pos`` matrices map a
-local index pair to its slot.
+(a, b), a < b, in row-major upper-triangle order; ``PairValues.pair_index``
+maps a local index pair to its slot.
 """
 
 from __future__ import annotations
@@ -39,6 +39,12 @@ _STRICT_MARGIN = 1e-9
 _ROW_BLOCK = 8
 _TILE_BYTES = 2**20
 _INLINE_WORK = 2**20
+
+# Rows of d gathered at a time for the per-point means, and negative pairs
+# handed to the repair loop as Python objects at a time: both bound the
+# memory beyond the O(n^2) arrays the certifier keeps.
+_STATS_ROWS = 64
+_WORK_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -136,8 +142,12 @@ def two_cluster_stats(d: np.ndarray, p: Partition) -> TwoClusterStats:
     d_in = np.empty(n)
     d_out = np.empty(n)
     for own, other in ((g1, g2), (g2, g1)):
-        d_in[own] = d[np.ix_(own, own)].mean(axis=1)
-        d_out[own] = d[np.ix_(own, other)].mean(axis=1)
+        # each row's mean is the same reduction over the same values as in
+        # the full (own, own) and (own, other) blocks, which are never copied
+        for r0 in range(0, own.size, _STATS_ROWS):
+            rows = own[r0 : r0 + _STATS_ROWS]
+            d_in[rows] = d[np.ix_(rows, own)].mean(axis=1)
+            d_out[rows] = d[np.ix_(rows, other)].mean(axis=1)
     din1 = d_in[g1]
     din2 = d_in[g2]
     eta = (r2 / 2.0) * (
@@ -172,7 +182,8 @@ def _pair_slacks(d: np.ndarray, stats: TwoClusterStats) -> tuple[np.ndarray, np.
     length and divided by m_other exactly as ``mean`` does, and is written
     by one thread only, so the slacks are bit for bit those of a per-row
     ``np.minimum(u[a], u[a+1:]).mean(axis=1)`` whatever the thread count;
-    ``d`` is never written."""
+    ``d`` is never written.  One cluster's ``u`` and buffers are released
+    before the next cluster's are allocated."""
     out: list[np.ndarray] = []
     for c in (0, 1):
         own = stats.clusters[c]
@@ -226,6 +237,7 @@ def _pair_slacks(d: np.ndarray, stats: TwoClusterStats) -> tuple[np.ndarray, np.
             with ThreadPoolExecutor(workers) as pool:
                 list(pool.map(sweep, range(workers)))
         out.append(slack)
+        del u, scratch
     return out[0], out[1]
 
 
@@ -311,8 +323,15 @@ def certify(gamma: PairValues, p: Partition, audit: bool = False) -> CertifyStat
     floats through a ``memoryview`` of each array, and skips a donor k as
     soon as r_ak, read first, or then r_bk is <= 0, before forming the
     transfer min(-r_ab, r_ak, r_bk), which could only be positive if both
-    were.  With ``audit`` every update is re-derived from the multipliers
-    and checked to 1e-12.
+    were.  Negative pairs enter the scan from a ``lexsort`` of their
+    (value, gi, gj) keys, ``_WORK_CHUNK`` at a time.
+
+    With ``audit`` each transfer is also replayed into a ledger, a second
+    copy of gamma whose slots are found by ``PairValues.pair_index``, and
+    every slot of the ledger is checked against the residuals to 1e-12 after
+    every multiplier; at the end the ledger is checked against
+    ``CertifyState.recomputed_r_bar``, the residuals rebuilt from gamma and
+    the multipliers alone.  That costs Theta(n^2) per multiplier.
     """
     g1, g2 = _ordered_clusters(p)
     if tuple(map(tuple, gamma.clusters)) != (tuple(g1), tuple(g2)):
@@ -331,30 +350,37 @@ def certify(gamma: PairValues, p: Partition, audit: bool = False) -> CertifyStat
         if v.size and not (np.isfinite(v.min()) and np.isfinite(v.max())):
             raise ValueError("gamma values must be finite")
     state = CertifyState(gamma=gamma, r_bar=r_bar)
+    ledger = tuple(v.copy() for v in r_bar) if audit else None
 
     # the slot of local pair (a, b), a < b, is base[a] + b
     bases = []
     member_lists = []
     local = [0] * p.n  # global index -> position in its cluster
-    worklist: list[tuple[float, int, int, int]] = []
+    negatives = []  # per cluster: value, gi, gj and c of each negative pair
     for c in (0, 1):
         members = gamma.clusters[c]
         sz = members.size
         a_idx = np.arange(sz)
-        bases.append((a_idx * sz - a_idx * (a_idx + 1) // 2 - a_idx - 1).tolist())
+        row_starts = a_idx * sz - a_idx * (a_idx + 1) // 2  # the slot of (a, a + 1)
+        bases.append((row_starts - a_idx - 1).tolist())
         member_lists.append(members.tolist())
         for a, g in enumerate(member_lists[c]):
             local[g] = a
-        au, bu = np.triu_indices(sz, 1)
         neg = np.flatnonzero(r_bar[c] < 0.0)
-        worklist.extend(zip(
-            r_bar[c][neg].tolist(), members[au[neg]].tolist(), members[bu[neg]].tolist(),
-            [c] * neg.size,
-        ))
-    worklist.sort()  # (value, gi, gj) is unique, so c never decides the order
+        a_neg = np.searchsorted(row_starts, neg, side="right") - 1
+        b_neg = neg - row_starts[a_neg] + a_neg + 1
+        negatives.append((r_bar[c][neg], members[a_neg], members[b_neg], np.full(neg.size, c)))
+    values, gis, gjs, cs = (np.concatenate(column) for column in zip(*negatives))
+    # (value, gi, gj) is unique, so this is the order of a sort of the tuples
+    order = np.lexsort((gjs, gis, values))
+
+    def worklist():
+        for start in range(0, order.size, _WORK_CHUNK):
+            chunk = order[start : start + _WORK_CHUNK]
+            yield from zip(gis[chunk].tolist(), gjs[chunk].tolist(), cs[chunk].tolist())
 
     views = [memoryview(v) for v in r_bar]
-    for _, gi, gj, c in worklist:
+    for gi, gj, c in worklist():
         members = member_lists[c]
         base = bases[c]
         rc = views[c]
@@ -383,19 +409,32 @@ def certify(gamma: PairValues, p: Partition, audit: bool = False) -> CertifyStat
             key = (members[k], gi, gj)
             state.lam[key] = state.lam.get(key, 0.0) + omega
             if audit:
-                ref = state.recomputed_r_bar()
-                if max(
-                    float(np.abs(ref[0] - r_bar[0]).max()) if ref[0].size else 0.0,
-                    float(np.abs(ref[1] - r_bar[1]).max()) if ref[1].size else 0.0,
-                ) > 1e-12:
+                _replay(ledger, gamma, c, a, b, k, omega)
+                if _drifted(ledger, r_bar):
                     raise AssertionError("residual bookkeeping drifted")
             if r_ab >= 0.0:
                 break
         if r_ab < 0.0:
-            state.success = False
             state.failed_pair = (gi, gj)
             state.deficit = r_ab
-            return state
-
-    state.success = True
+            break
+    else:
+        state.success = True
+    if audit and _drifted(ledger, state.recomputed_r_bar()):
+        raise AssertionError("multipliers do not rebuild the residuals")
     return state
+
+
+def _replay(
+    ledger: tuple[np.ndarray, np.ndarray], gamma: PairValues, c: int, a: int, b: int, k: int,
+    omega: float,
+) -> None:
+    """Apply the transfer of omega from pairs (a, k) and (b, k) to (a, b) of
+    cluster c to the audit ledger."""
+    ledger[c][gamma.pair_index(c, a, b)] += omega
+    ledger[c][gamma.pair_index(c, a, k)] -= omega
+    ledger[c][gamma.pair_index(c, b, k)] -= omega
+
+
+def _drifted(x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray]) -> bool:
+    return any(x[c].size and float(np.abs(x[c] - y[c]).max()) > 1e-12 for c in (0, 1))

@@ -128,15 +128,19 @@ def squared_distances(points: PointSet) -> np.ndarray:
     """Symmetric matrix of pairwise squared Euclidean distances.
 
     Row-wise evaluation keeps the result bitwise deterministic for a fixed
-    point ordering.
+    point ordering.  Row i computes the columns j >= i only and mirrors them
+    into column i: (x_i - x_j)^2 equals (x_j - x_i)^2 term by term, summed in
+    the same order, so the mirror is the entry a full row would compute.
     """
     coords = points.coords
     n = points.n
     d = np.empty((n, n))
     for i in range(n):
-        diff = coords - coords[i]
-        d[i] = np.einsum("ij,ij->i", diff, diff)
-        d[i, i] = 0.0
+        diff = coords[i:] - coords[i]
+        row = np.einsum("ij,ij->i", diff, diff)
+        row[0] = 0.0
+        d[i, i:] = row
+        d[i:, i] = row
     return d
 
 

@@ -4,6 +4,7 @@ import itertools
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,27 @@ def test_gamma_and_certify_exact_under_power_of_four_scaling(seed, delta, j):
     assert got.success == ref.success and got.failed_pair == ref.failed_pair
     assert got.deficit == scale * ref.deficit
     assert got.lam == {key: scale * v for key, v in ref.lam.items()}
+
+
+def sbm_300_unequal():
+    """sbm n=300 with clusters of 75 and 225 points: two and four row
+    blocks of the default 64."""
+    pts, planted = generate(GenSpec("sbm", n=300, m=2, delta=2.3, r1=0.5, seed=4))
+    return squared_distances(pts), planted.assign
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_cluster_instances(max_size=40), st.sampled_from([1, 3, 64]))
+@example(sbm_300_unequal(), 64)
+def test_stats_byte_equal_to_full_block_means(instance, rows):
+    d, assign = instance
+    p = Partition(2, assign)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpkmeans.certify, "_STATS_ROWS", rows)
+        got = two_cluster_stats(d, p)
+    for own, other in (got.clusters, got.clusters[::-1]):
+        assert got.d_in[own].tobytes() == d[np.ix_(own, own)].mean(axis=1).tobytes()
+        assert got.d_out[own].tobytes() == d[np.ix_(own, other)].mean(axis=1).tobytes()
 
 
 def row_kernel_slacks(d, stats):
@@ -693,15 +715,28 @@ def lone_last_donor():
     return PairValues(clusters, (np.empty(0), large)), p
 
 
+def sbm_280_repaired():
+    """sbm n=280 with clusters of 70 and 210 points, two and four row blocks
+    of the default 64 in the stats, whose 1,331 negative pairs are all
+    repaired, by 2,221 multipliers."""
+    pts, planted = generate(GenSpec("sbm", n=280, m=2, delta=2.4, r1=0.5, seed=2))
+    return gamma_of((squared_distances(pts), planted.assign))
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(
     two_cluster_instances(max_size=30).map(gamma_of), sbm_instances().map(gamma_of), drawn_gamma()
 ))
 @example(lone_last_donor())
+@example(sbm_280_repaired())
 def test_certify_state_identical_to_pair_index_loop(case):
     g, p = case
     before = [v.copy() for v in g.values]
-    got = certify(g, p)
+    with pytest.MonkeyPatch.context() as mp:
+        # the worklist reaches the loop in chunks of 5 negative pairs, the
+        # last of them partial
+        mp.setattr(lpkmeans.certify, "_WORK_CHUNK", 5)
+        got = certify(g, p)
     ref = pair_index_certify(g, p)
     assert got.gamma is g
     for c in (0, 1):
@@ -716,20 +751,114 @@ def test_certify_state_identical_to_pair_index_loop(case):
 def test_audit_checks_after_every_multiplier(monkeypatch):
     d, planted = sbm_80()
     g = gamma_values(d, planted)
+    replay = lpkmeans.certify._replay
+    replays = []
+
+    def drifting(ledger, gamma, c, a, b, k, omega):
+        replays.append(omega)
+        replay(ledger, gamma, c, a, b, k, omega)
+        if len(replays) == 3:
+            ledger[c][gamma.pair_index(c, a, b)] += 1e-9
+
+    monkeypatch.setattr(lpkmeans.certify, "_replay", drifting)
+    with pytest.raises(AssertionError, match="drifted"):
+        certify(g, planted, audit=True)
+    assert len(replays) == 3
+
+
+def test_audit_checks_ledger_against_recomputed_residuals(monkeypatch):
+    d, planted = sbm_80()
+    g = gamma_values(d, planted)
     recomputed = lpkmeans.certify.CertifyState.recomputed_r_bar
-    multipliers = []
+    calls = []
 
     def drifting(state):
-        multipliers.append(len(state.lam))
+        calls.append(len(state.lam))
         out = recomputed(state)
-        if len(multipliers) == 3:
-            out[1][0] += 1e-9
+        out[1][0] += 1e-9
         return out
 
     monkeypatch.setattr(lpkmeans.certify.CertifyState, "recomputed_r_bar", drifting)
-    with pytest.raises(AssertionError, match="drifted"):
+    with pytest.raises(AssertionError, match="rebuild"):
         certify(g, planted, audit=True)
-    assert multipliers == [1, 2, 3]
+    # once, after the last of the multipliers
+    assert calls == [len(certify(g, planted).lam)]
+
+
+def test_audit_replays_each_transfer_once(monkeypatch):
+    # the replay is Theta(1) slots and the check Theta(n^2) per multiplier;
+    # rebuilding every residual from all multipliers so far, as the audit
+    # once did, took 0.29 s on sbm n=400 against 0.003 s unaudited
+    pts, planted = generate(GenSpec("sbm", n=400, m=2, delta=2.3, r1=1.0, seed=1))
+    g = gamma_values(squared_distances(pts), planted)
+    replay = lpkmeans.certify._replay
+    recomputed = lpkmeans.certify.CertifyState.recomputed_r_bar
+    replays = []
+    rebuilds = []
+
+    def counting_replay(*args):
+        replays.append(args)
+        replay(*args)
+
+    def counting_rebuild(state):
+        rebuilds.append(len(state.lam))
+        return recomputed(state)
+
+    monkeypatch.setattr(lpkmeans.certify, "_replay", counting_replay)
+    monkeypatch.setattr(lpkmeans.certify.CertifyState, "recomputed_r_bar", counting_rebuild)
+    audited = certify(g, planted, audit=True)
+    plain = certify(g, planted)
+    assert audited.success and len(audited.lam) == 439
+    assert list(audited.lam.items()) == list(plain.lam.items())
+    assert len(replays) == 439 and rebuilds == [439]
+
+
+def transient_bytes(call):
+    """Result of ``call()`` and the traced bytes it allocated at its peak
+    beyond those it still holds when it returns."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - held
+
+
+def sbm_1000():
+    """sbm n=1000, two clusters of 500 points: many row blocks of the
+    stats, 124,750 pairs per cluster, 2,571 of them negative."""
+    pts, planted = generate(GenSpec("sbm", n=1000, m=2, delta=2.3, r1=1.0, seed=1))
+    return squared_distances(pts), planted
+
+
+def test_slack_evaluation_memory_budget(monkeypatch):
+    # beyond the stats and gamma it returns, the evaluation holds one
+    # cluster's 500 x 500 cross block u at a time, the workers' buffers and
+    # one row block of the stats; full copies of the stats blocks, or the
+    # first cluster's u kept while the second's is built, exceed it
+    monkeypatch.setattr(lpkmeans.certify, "_worker_count", lambda: 2)
+    d, planted = sbm_1000()
+    size = 500
+    budget = (
+        size * size * 8
+        + 2 * (lpkmeans.certify._TILE_BYTES + 9 * 8 * size)
+        + lpkmeans.certify._STATS_ROWS * size * 8
+        + 2**19
+    )
+    _, extra = transient_bytes(lambda: (proximity_check(d, planted), gamma_values(d, planted)))
+    assert extra <= budget
+
+
+def test_certify_memory_budget():
+    # beyond the residuals and multipliers it returns, the repair holds less
+    # than half the residuals' bytes: no per-slot index arrays and no Python
+    # object per negative pair beyond one chunk of the worklist
+    d, planted = sbm_1000()
+    g = gamma_values(d, planted)
+    state, extra = transient_bytes(lambda: certify(g, planted))
+    assert state.success and len(state.lam) == 3492
+    assert extra <= sum(v.nbytes for v in state.r_bar) // 2
 
 
 def sbm_40_gamma():

@@ -3,6 +3,8 @@ import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lpkmeans
 from lpkmeans.core import (
@@ -68,6 +70,36 @@ def test_nonfinite_coordinates_rejected():
         PointSet(np.array([[0.0, np.nan]]))
     with pytest.raises(ValueError):
         PointSet(np.array([[np.inf, 1.0]]))
+
+
+def full_row_distances(points):
+    """Every entry of every row computed, none mirrored: the reference for
+    bit identity."""
+    coords = points.coords
+    n = points.n
+    d = np.empty((n, n))
+    for i in range(n):
+        diff = coords - coords[i]
+        d[i] = np.einsum("ij,ij->i", diff, diff)
+        d[i, i] = 0.0
+    return d
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 1e6, -1e6]),
+    st.booleans(),
+)
+def test_mirrored_distances_bit_identical_to_full_rows(n, m, seed, offset, duplicates):
+    rng = np.random.default_rng(seed)
+    coords = rng.normal(size=(n, m)) + offset
+    if duplicates:
+        coords[rng.integers(n, size=n // 2)] = coords[rng.integers(n, size=n // 2)]
+    points = PointSet(coords)
+    assert squared_distances(points).tobytes() == full_row_distances(points).tobytes()
 
 
 def test_distance_rigid_motion_invariance():
