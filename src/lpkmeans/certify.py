@@ -41,8 +41,8 @@ _TILE_BYTES = 2**20
 _INLINE_WORK = 2**20
 
 # Rows of d gathered at a time for the per-point means, and negative pairs
-# handed to the repair loop as Python objects at a time: both bound the
-# memory beyond the O(n^2) arrays the certifier keeps.
+# selected, ordered and handed to the repair loop as Python objects at a
+# time: both bound the memory beyond the O(n^2) arrays the certifier keeps.
 _STATS_ROWS = 64
 _WORK_CHUNK = 4096
 
@@ -323,8 +323,11 @@ def certify(gamma: PairValues, p: Partition, audit: bool = False) -> CertifyStat
     floats through a ``memoryview`` of each array, and skips a donor k as
     soon as r_ak, read first, or then r_bk is <= 0, before forming the
     transfer min(-r_ab, r_ak, r_bk), which could only be positive if both
-    were.  Negative pairs enter the scan from a ``lexsort`` of their
-    (value, gi, gj) keys, ``_WORK_CHUNK`` at a time.
+    were.  Negative pairs enter the scan ``_WORK_CHUNK`` at a time: each
+    chunk is the most negative of the pairs still pending, with every pair
+    tied with its last kept whole, ordered by a ``lexsort`` of its
+    (value, gi, gj) keys.  Beyond the residuals, the worklist holds one
+    slot number per pending pair.
 
     With ``audit`` each transfer is also replayed into a ledger, a second
     copy of gamma whose slots are found by ``PairValues.pair_index``, and
@@ -354,30 +357,40 @@ def certify(gamma: PairValues, p: Partition, audit: bool = False) -> CertifyStat
 
     # the slot of local pair (a, b), a < b, is base[a] + b
     bases = []
+    row_starts = []
     member_lists = []
     local = [0] * p.n  # global index -> position in its cluster
-    negatives = []  # per cluster: value, gi, gj and c of each negative pair
     for c in (0, 1):
         members = gamma.clusters[c]
         sz = members.size
         a_idx = np.arange(sz)
-        row_starts = a_idx * sz - a_idx * (a_idx + 1) // 2  # the slot of (a, a + 1)
-        bases.append((row_starts - a_idx - 1).tolist())
+        row_starts.append(a_idx * sz - a_idx * (a_idx + 1) // 2)  # the slot of (a, a + 1)
+        bases.append((row_starts[c] - a_idx - 1).tolist())
         member_lists.append(members.tolist())
         for a, g in enumerate(member_lists[c]):
             local[g] = a
-        neg = np.flatnonzero(r_bar[c] < 0.0)
-        a_neg = np.searchsorted(row_starts, neg, side="right") - 1
-        b_neg = neg - row_starts[a_neg] + a_neg + 1
-        negatives.append((r_bar[c][neg], members[a_neg], members[b_neg], np.full(neg.size, c)))
-    values, gis, gjs, cs = (np.concatenate(column) for column in zip(*negatives))
-    # (value, gi, gj) is unique, so this is the order of a sort of the tuples
-    order = np.lexsort((gjs, gis, values))
+    # the slots of the negative pairs not yet scanned, four bytes each where
+    # they fit; only positive residuals donate, so the residual of a pending
+    # pair is still its gamma value
+    pending = [
+        np.flatnonzero(v < 0.0).astype(np.int32 if v.size <= 2**31 else np.int64) for v in r_bar
+    ]
 
     def worklist():
-        for start in range(0, order.size, _WORK_CHUNK):
-            chunk = order[start : start + _WORK_CHUNK]
-            yield from zip(gis[chunk].tolist(), gjs[chunk].tolist(), cs[chunk].tolist())
+        while pending[0].size or pending[1].size:
+            chunk = _take_most_negative(r_bar, pending, _WORK_CHUNK)
+            keys = []
+            for c in (0, 1):
+                slots = chunk[c]
+                a = np.searchsorted(row_starts[c], slots, side="right") - 1
+                b = slots - row_starts[c][a] + a + 1
+                members = gamma.clusters[c]
+                keys.append((r_bar[c][slots], members[a], members[b], np.full(slots.size, c)))
+            values, gis, gjs, cs = (np.concatenate(column) for column in zip(*keys))
+            # (value, gi, gj) is unique, so this is the order of a sort of the
+            # tuples, and every value of a later chunk is larger
+            order = np.lexsort((gjs, gis, values))
+            yield from zip(gis[order].tolist(), gjs[order].tolist(), cs[order].tolist())
 
     views = [memoryview(v) for v in r_bar]
     for gi, gj, c in worklist():
@@ -423,6 +436,45 @@ def certify(gamma: PairValues, p: Partition, audit: bool = False) -> CertifyStat
     if audit and _drifted(ledger, state.recomputed_r_bar()):
         raise AssertionError("multipliers do not rebuild the residuals")
     return state
+
+
+def _take_most_negative(
+    r_bar: tuple[np.ndarray, np.ndarray], pending: list[np.ndarray], count: int
+) -> list[np.ndarray]:
+    """Per cluster, the slots of the ``count`` most negative residuals in
+    ``pending`` and of every residual tied with the last of them, removed
+    from ``pending``, which holds per cluster the slots of negative
+    residuals in any order.
+
+    The values are gathered one cluster at a time: the count-th smallest of
+    each cluster bounds the count-th smallest of both, so the candidates
+    below that bound, at most 2 * count plus ties, decide the exact limit."""
+    if pending[0].size + pending[1].size <= count:
+        taken = pending[:]
+        pending[:] = [s[:0] for s in pending]
+        return taken
+    bound = np.inf
+    for c in (0, 1):
+        if pending[c].size > count:
+            values = r_bar[c][pending[c]]
+            values.partition(count - 1)
+            bound = min(bound, values[count - 1])
+            del values  # before the other cluster's are gathered
+    slots, near_values = [], []
+    for c in (0, 1):
+        values = r_bar[c][pending[c]]
+        near = values <= bound
+        slots.append(pending[c][near])
+        near_values.append(values[near])
+        pending[c] = pending[c][~near]
+        del values
+    limit = np.partition(np.concatenate(near_values), count - 1)[count - 1]
+    taken = []
+    for c in (0, 1):
+        keep = near_values[c] <= limit
+        taken.append(slots[c][keep])
+        pending[c] = np.concatenate([pending[c], slots[c][~keep]])
+    return taken
 
 
 def _replay(

@@ -270,6 +270,8 @@ def cmd_generate(args) -> int:
 
 def cmd_certify(args) -> int:
     points = read_points_csv(args.input, header=args.header)
+    if args.cross_check and points.n > 80:
+        raise ValueError("--cross-check is limited to n <= 80")
     labels = read_labels_csv(args.labels)
     if labels.size != points.n:
         raise ValueError(f"{labels.size} labels for {points.n} points")
@@ -294,8 +296,6 @@ def cmd_certify(args) -> int:
         )
 
     if args.cross_check:
-        if points.n > 80:
-            raise ValueError("--cross-check is limited to n <= 80")
         lp = build(d, 2, all_cuts(points.n, 2))
         sol = solve(lp, tol=1e-8)
         x = unpack_matrix(sol.x, points.n)

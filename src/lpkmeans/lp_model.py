@@ -14,11 +14,16 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from lpkmeans.core import packed_diag_indices, packed_index, packed_len
+
+# scipy.sparse is imported where a sparse matrix is first built, so that the
+# certify pipeline, which builds none, never loads it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["CutPool", "LpStandardForm", "build", "active_cuts", "all_cuts"]
 
@@ -146,6 +151,8 @@ class LpStandardForm:
 
 def _equality_form(d: np.ndarray, k: int) -> LpStandardForm:
     """Objective, trace and row-sum equalities and bounds, with no cuts."""
+    import scipy.sparse as sp
+
     n = d.shape[0]
     if not (2 <= k <= n):
         raise ValueError(f"need 2 <= K <= n, got K={k}, n={n}")
@@ -173,6 +180,8 @@ def _equality_form(d: np.ndarray, k: int) -> LpStandardForm:
 def _cut_rows(pool: CutPool, n: int) -> sp.csr_matrix:
     """Row r: +1 at X_{i S} entries, -1 at X_ii and at every X_jk, j < k in S,
     columns sorted."""
+    import scipy.sparse as sp
+
     nv = packed_len(n)
     if len(pool) == 0:
         return sp.csr_matrix((0, nv))

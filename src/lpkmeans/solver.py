@@ -17,12 +17,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec  # the kernel behind csr @ vector
 
 from lpkmeans.lp_model import LpStandardForm
+
+# scipy.sparse is imported in solve; see lpkmeans.lp_model
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["LpSolution", "solve", "safe_lower_bound", "tolerance_schedule"]
 
@@ -145,6 +148,9 @@ def solve(
     ``step`` and ``primal_weight``.  Without them the solve starts from
     1 / max|K| and ||c|| / ||q|| on the scaled data.
     """
+    import scipy.sparse as sp
+    from scipy.sparse._sparsetools import csr_matvec  # the kernel behind csr @ vector
+
     t0 = time.monotonic()
     nv = lp.n_vars
     me = lp.a_eq.shape[0]

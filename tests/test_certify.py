@@ -723,12 +723,25 @@ def sbm_280_repaired():
     return gamma_of((squared_distances(pts), planted.assign))
 
 
+def tripled_sbm_ties():
+    """sbm n=8 with every point tripled: its 18 negative pairs take two
+    values, nine pairs each, so exact ties straddle the boundary of a first
+    chunk of 5 and only (gi, gj) orders them; all are repaired."""
+    pts, planted = generate(GenSpec("sbm", n=8, m=2, delta=1.9, seed=2))
+    d = squared_distances(PointSet(np.repeat(pts.coords, 3, axis=0)))
+    g, p = gamma_of((d, np.repeat(planted.assign, 3)))
+    negative = np.sort(np.concatenate([v[v < 0.0] for v in g.values]))
+    assert negative.size == 18 and np.unique(negative).size == 2 and negative[4] == negative[5]
+    return g, p
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(
     two_cluster_instances(max_size=30).map(gamma_of), sbm_instances().map(gamma_of), drawn_gamma()
 ))
 @example(lone_last_donor())
 @example(sbm_280_repaired())
+@example(tripled_sbm_ties())
 def test_certify_state_identical_to_pair_index_loop(case):
     g, p = case
     before = [v.copy() for v in g.values]
@@ -859,6 +872,16 @@ def test_certify_memory_budget():
     state, extra = transient_bytes(lambda: certify(g, planted))
     assert state.success and len(state.lam) == 3492
     assert extra <= sum(v.nbytes for v in state.r_bar) // 2
+    # a repair that fails on its first pairs selects one chunk of the most
+    # negative pairs, about 170 bytes a pair as arrays and Python objects,
+    # and holds at most 16 bytes per negative pair beyond it; sorting the
+    # whole worklist took about 95
+    pts, planted = generate(GenSpec("sbm", n=1000, m=2, delta=1.5, r1=1.0, seed=1))
+    g = gamma_values(squared_distances(pts), planted)
+    negatives = sum(int(np.count_nonzero(v < 0.0)) for v in g.values)
+    state, extra = transient_bytes(lambda: certify(g, planted))
+    assert not state.success and len(state.lam) == 15 and negatives == 48_162
+    assert extra <= 256 * lpkmeans.certify._WORK_CHUNK + 16 * negatives
 
 
 def sbm_40_gamma():

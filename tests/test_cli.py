@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import lpkmeans.certify
+import lpkmeans.cli
 from lpkmeans.cli import main, mix_seed, read_labels_csv, read_points_csv
 
 F_KMEANS = 146.0 / 72.0
@@ -207,6 +208,20 @@ def test_certify_failure_exit_code(tmp_path, capsys):
     assert code == 2
     assert "certificate: failure" in out
     assert "deficit" in out
+
+
+def test_certify_cross_check_limit_checked_before_distances(tmp_path, capsys, monkeypatch):
+    pts = tmp_path / "x.csv"
+    lab = tmp_path / "x.labels.csv"
+    pts.write_text("".join(f"{i},0\n" for i in range(81)))
+    lab.write_text("".join(f"{int(i >= 40)}\n" for i in range(81)))
+    calls = []
+    monkeypatch.setattr(lpkmeans.cli, "squared_distances", lambda points: calls.append(points))
+    code, out, err = run_cli(
+        capsys, "certify", "--input", str(pts), "--labels", str(lab), "--cross-check"
+    )
+    assert code == 1 and "limited to n <= 80" in err
+    assert "proximity:" not in out and calls == []
 
 
 def test_certify_label_validation(tmp_path, capsys):
