@@ -27,10 +27,14 @@ from lpkmeans.heuristics import (
     upper_bound_update,
 )
 from lpkmeans.lp_model import CutPool, active_cuts, build
-from lpkmeans.separation import separate_exhaustive, separate_greedy
+from lpkmeans.separation import SeparationLimit, separate_exhaustive, separate_greedy
 from lpkmeans.solver import safe_lower_bound, solve, tolerance_schedule
 
 __all__ = ["SolveConfig", "RoundRecord", "SolveTrace", "gap", "solve_kmeans_lp"]
+
+_LP_MAX_ITERS = 400_000  # PDHG iterations per LP solve
+_TIGHT_TOL = 1e-5  # entrywise tolerance of the final partition-matrix test
+_DROP_PATIENCE = 2  # consecutive slack rounds before a cut is dropped
 
 
 @dataclass(frozen=True)
@@ -42,11 +46,8 @@ class SolveConfig:
     p_max: int | None = None  # default 5 n
     lp_time_limit: float | None = None
     t_cap: int | None = None  # largest |S| ever separated (default: K)
-    escalation_threshold: int | None = None  # default n / 10
     seed: int = 0
     max_rounds: int = 200
-    lloyd_restarts: int = 10
-    lloyd_max_iters: int = 100
     # Cap on the working LP tolerance, which is otherwise 0.1 r_g (see
     # tolerance_schedule).  0.1 is the rule's value at the start bound
     # f_lb = 0 (r_g = 1), so round 1 (r_g = inf) starts there and later rounds
@@ -55,9 +56,6 @@ class SolveConfig:
     # lp_tol_floor, and every bound comes from safe_lower_bound.
     lp_tol_start: float = 1e-1
     lp_tol_floor: float = 1e-8
-    lp_max_iters: int = 400_000
-    tight_tol: float = 1e-5
-    drop_patience: int = 2  # consecutive slack rounds before a cut is dropped
     keep_pools: bool = False
 
     def __post_init__(self):
@@ -75,8 +73,8 @@ class SolveConfig:
         # few-round convergence
         p_init = self.p_init if self.p_init is not None else max(10 * n, 2 * n * n)
         p_max = self.p_max if self.p_max is not None else 5 * n
-        esc = self.escalation_threshold if self.escalation_threshold is not None else max(1, n // 10)
-        return p_init, p_max, esc
+        # fewer violated cuts than n / 10 escalate the set size
+        return p_init, p_max, max(1, n // 10)
 
 
 @dataclass
@@ -107,7 +105,8 @@ class SolveTrace:
     n: int
     k: int
     rounds: list[RoundRecord] = field(default_factory=list)
-    status: str = "running"  # converged | no_more_cuts | max_rounds | lp_failure
+    # converged | no_more_cuts | separation_limit | max_rounds | lp_failure
+    status: str = "running"
     tight: bool = False
     f_lb: float = -np.inf
     f_ub: float = np.inf
@@ -157,9 +156,7 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
     d = squared_distances(points)
     trace = SolveTrace(n=n, k=k)
 
-    lloyd_cfg = LloydConfig(
-        max_iters=cfg.lloyd_max_iters, restarts=cfg.lloyd_restarts, seed=cfg.seed
-    )
+    lloyd_cfg = LloydConfig(seed=cfg.seed)
     incumbent = kmeanspp_lloyd(points, k, lloyd_cfg)
     pool = active_cuts(partition_matrix(incumbent[0]), cap=p_init, seed=cfg.seed)
     trace.time_init = time.monotonic() - t_begin
@@ -188,7 +185,7 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
 
         t0 = time.monotonic()
         sol = solve(
-            lp, tol=lp_tol, time_limit=cfg.lp_time_limit, max_iters=cfg.lp_max_iters,
+            lp, tol=lp_tol, time_limit=cfg.lp_time_limit, max_iters=_LP_MAX_ITERS,
             warm=warm, step=step, primal_weight=primal_weight,
         )
         time_solve = time.monotonic() - t0
@@ -243,7 +240,7 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
 
         # eps_act = 20 lp_tol: 2 at lp_tol = 0.1, the largest |w| of a pair cut on [0, 1]
         kept_rows, kept_ages = _age_cuts(
-            pool, x_lb, max(1e-8, 20.0 * lp_tol), slack_ages, cfg.drop_patience
+            pool, x_lb, max(1e-8, 20.0 * lp_tol), slack_ages, _DROP_PATIENCE
         )
 
         t0 = time.monotonic()
@@ -260,7 +257,13 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
                 tol_ceiling = cfg.lp_tol_floor
                 warm = (sol.x, sol.y, sol.z)
                 continue
-            report = separate_exhaustive(x_lb, min(t_max, t_limit), cfg.eps_vio, cap=p_max)
+            try:
+                report = separate_exhaustive(x_lb, min(t_max, t_limit), cfg.eps_vio, cap=p_max)
+            except SeparationLimit:
+                # no proof that no violated cut remains: the bounds hold, the gap stays open
+                record.time_separate = time.monotonic() - t0
+                trace.status = "separation_limit"
+                break
             record.exhaustive = True
         record.time_separate = time.monotonic() - t0
         record.violated_found = len(report.cuts)
@@ -291,7 +294,7 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
         trace.status = "max_rounds"
 
     if trace.status in ("converged", "no_more_cuts") and x_lb is not None:
-        if is_partition_matrix(x_lb, k, tol=cfg.tight_tol):
+        if is_partition_matrix(x_lb, k, tol=_TIGHT_TOL):
             extracted = extract_support_partition(x_lb)
             if extracted is not None and extracted.k == k:
                 value = lp_objective(x_lb, d)

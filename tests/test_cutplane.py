@@ -275,6 +275,18 @@ def test_max_rounds_reported(five_point):
     assert not tight
 
 
+def test_solve_over_the_exhaustive_budget_ends_at_separation_limit():
+    # K = 3 escalates to t = 3, and the proof at n = 76 (76^4 > 2.8e7) is out
+    # of budget: the solve stops with valid bounds and an open gap
+    points, _ = generate(GenSpec("ssm", n=76, m=2, delta=1.5, seed=0))
+    cfg = SolveConfig(k=3, seed=1)
+    _, trace, tight = solve_kmeans_lp(points, cfg)
+    assert trace.status == "separation_limit"
+    assert not tight and not trace.rounds[-1].exhaustive
+    assert 0.0 <= trace.f_lb <= trace.f_ub
+    assert trace.r_g > cfg.eps_opt
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(k=2, eps_opt=0.0)

@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpkmeans.core import partition_matrix
 from lpkmeans.generators import reference_nontight_matrix
-from lpkmeans.separation import separate_exhaustive, separate_greedy
+from lpkmeans.lp_model import CutPool
+from lpkmeans.separation import SeparationReport, separate_exhaustive, separate_greedy
 
 from conftest import cut_rows, random_partition
 
@@ -29,6 +32,56 @@ def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.random((n, n))
     x = 0.5 * (a + a.T)
     return x
+
+
+def reference_greedy(x: np.ndarray, t_max: int, eps_vio: float) -> SeparationReport:
+    """The greedy growth as one Python loop per anchor pair (i, j): from S
+    append the k > max(S), k != i, maximizing X_ik - sum_{l in S} X_lk (ties
+    to the smallest k), and record every set violated by more than eps_vio."""
+    n = x.shape[0]
+    diag = np.diag(x)
+    sets, found = [], []
+    for i in range(n):
+        xi = x[i]
+        for j in range(n):
+            if j == i:
+                continue
+            s = [j]
+            w = xi[j] - diag[i]
+            colsum = x[j].copy()  # sum over l in S of X_lk, as a function of k
+            c = j
+            while len(s) < t_max:
+                lo = c + 1
+                if lo >= n:
+                    break
+                gamma = xi[lo:] - colsum[lo:]
+                if i >= lo:
+                    gamma = gamma.copy()
+                    gamma[i - lo] = -np.inf
+                kk = int(gamma.argmax()) + lo
+                if not np.isfinite(gamma[kk - lo]):
+                    break
+                s.append(kk)
+                w += gamma[kk - lo]
+                if w > eps_vio:
+                    sets.append(s + [-1] * (t_max - len(s)))
+                    found.append((i, float(w)))
+                colsum += x[kk]
+                c = kk
+    if not found:
+        return SeparationReport()
+    anchors, w = zip(*found)
+    return SeparationReport(CutPool(anchors, sets), np.array(w))
+
+
+@st.composite
+def separation_matrices(draw):
+    """Symmetric matrices of uniform values or of values on a 1/4 grid, whose
+    repeated values force argmax ties."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, 5, size=(n, n)) / 4 if draw(st.booleans()) else rng.random((n, n))
+    return np.triu(a) + np.triu(a, 1).T
 
 
 def test_greedy_empty_on_partition_matrices():
@@ -93,6 +146,24 @@ def test_exhaustive_t4_matches_bruteforce():
     assert set(cut_rows(report.cuts)) == expected
 
 
+@pytest.mark.parametrize("t_max, n_max", [(4, 14), (5, 17)])
+def test_exhaustive_large_sets_match_bruteforce(t_max, n_max):
+    # n_max^(t_max + 1) stays within the enumeration budget; half the
+    # matrices perturb a mix of two partition matrices, which satisfies every
+    # cut, so that fewer cuts are violated
+    rng = np.random.default_rng(50 + t_max)
+    for trial in range(4):
+        n = int(rng.integers(t_max + 1, n_max + 1)) if trial else n_max
+        if trial % 2:
+            a, b = (partition_matrix(random_partition(rng, n, 3)) for _ in range(2))
+            x = 0.5 * (a + b) + 0.1 * random_symmetric(rng, n)
+        else:
+            x = random_symmetric(rng, n)
+        report = separate_exhaustive(x, t_max, 1e-6)
+        assert set(cut_rows(report.cuts)) == brute_violated(x, t_max, 1e-6)
+        assert np.abs(report.cuts.violations(x) - report.violations).max(initial=0.0) <= 1e-12
+
+
 def test_greedy_subset_of_exhaustive():
     rng = np.random.default_rng(45)
     for _ in range(25):
@@ -114,29 +185,16 @@ def test_greedy_soundness_no_incremental_drift():
         assert np.abs(report.cuts.violations(x) - report.violations).max(initial=0.0) < 1e-12
 
 
-def test_greedy_general_path_agrees_with_pair_path():
-    # t_max = 2 is served by a vectorized branch; it must reproduce the
-    # generic growth loop exactly
-    rng = np.random.default_rng(47)
-    for _ in range(10):
-        n = int(rng.integers(4, 12))
-        x = random_symmetric(rng, n)
-        fast = separate_greedy(x, 2)
-        slow = set()
-        diag = np.diag(x)
-        for i in range(n):
-            for j in range(n):
-                if j == i:
-                    continue
-                cands = [k for k in range(j + 1, n) if k != i]
-                if not cands:
-                    continue
-                gammas = [x[i, k] - x[j, k] for k in cands]
-                best = int(np.argmax(gammas))
-                w = x[i, j] - diag[i] + gammas[best]
-                if w > 1e-6:
-                    slow.add((i, (j, cands[best])))
-        assert set(cut_rows(fast.cuts)) == slow
+@settings(max_examples=150, deadline=None)
+@given(separation_matrices(), st.integers(2, 5), st.sampled_from([1e-6, -np.inf]))
+def test_greedy_matches_reference_loop(x, t_max, eps_vio):
+    # bit for bit in cuts and violations, in the order the cutting plane
+    # adds them; eps_vio = -inf records every set the growth reaches
+    fast = separate_greedy(x, t_max, eps_vio)
+    slow = reference_greedy(x, t_max, eps_vio)
+    fast_order, slow_order = fast.order(), slow.order()
+    assert fast.cuts.take(fast_order) == slow.cuts.take(slow_order)
+    assert np.array_equal(fast.violations[fast_order], slow.violations[slow_order])
 
 
 def test_exhaustive_cap_and_order():
