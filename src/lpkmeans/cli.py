@@ -50,15 +50,11 @@ def mix_seed(master: int, index: int) -> int:
     return x
 
 
-def _env(name: str):
-    return os.environ.get("LPKMEANS_" + name.upper().replace("-", "_"))
-
-
-def _env_default(name: str, cast, fallback):
-    raw = _env(name)
-    if raw is None:
-        return fallback
-    return cast(raw)
+def _env_default(name: str, fallback):
+    """The raw LPKMEANS_<NAME> string, else ``fallback``.  argparse applies the
+    flag's type to a string default only when the flag is absent and reports
+    a bad value as a usage error, so only the subcommands with the flag see it."""
+    return os.environ.get("LPKMEANS_" + name.upper().replace("-", "_"), fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +140,17 @@ def _dump_json(doc: dict, out: str | None) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps-opt", type=float, default=_env_default("eps-opt", float, 1e-4))
-    p.add_argument("--eps-vio", type=float, default=_env_default("eps-vio", float, 1e-6))
-    p.add_argument("--p-init", type=int, default=_env_default("p-init", int, None))
-    p.add_argument("--p-max", type=int, default=_env_default("p-max", int, None))
+    p.add_argument("--eps-opt", type=float, default=_env_default("eps-opt", 1e-4))
+    p.add_argument("--eps-vio", type=float, default=_env_default("eps-vio", 1e-6))
+    p.add_argument("--p-init", type=int, default=_env_default("p-init", None))
+    p.add_argument("--p-max", type=int, default=_env_default("p-max", None))
     p.add_argument(
-        "--lp-time-limit", type=float, default=_env_default("lp-time-limit", float, None)
+        "--lp-time-limit", type=float, default=_env_default("lp-time-limit", None)
     )
-    p.add_argument("--t-max", type=int, default=_env_default("t-max", int, None),
+    p.add_argument("--t-max", type=int, default=_env_default("t-max", None),
                    help="cap on the inequality set size (default: K)")
-    p.add_argument("--seed", type=int, default=_env_default("seed", int, 0))
-    p.add_argument("--max-rounds", type=int, default=_env_default("max-rounds", int, 200))
+    p.add_argument("--seed", type=int, default=_env_default("seed", 0))
+    p.add_argument("--max-rounds", type=int, default=_env_default("max-rounds", 200))
 
 
 def cmd_solve(args) -> int:
@@ -421,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--header", action="store_true", help="skip one header line")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out", default=_env_default("out", str, None))
+    p.add_argument("--out", default=_env_default("out", None))
     _add_solver_flags(p)
     p.set_defaults(func=cmd_solve)
 
@@ -434,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r1", type=float, default=1.0)
     p.add_argument("--radius", type=float, default=0.0)
     p.add_argument("--n-prime", type=int, default=1)
-    p.add_argument("--seed", type=int, default=_env_default("seed", int, 0))
+    p.add_argument("--seed", type=int, default=_env_default("seed", 0))
     p.add_argument("--out", default=None)
     p.add_argument("--labels-out", default=None)
     p.set_defaults(func=cmd_generate)
@@ -456,8 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--mode", choices=("lp", "certify", "proximity"), default="lp")
     p.add_argument("--model", choices=("ssm", "sbm"), default="ssm")
-    p.add_argument("--seed", type=int, default=_env_default("seed", int, 0))
-    p.add_argument("--jobs", type=int, default=_env_default("jobs", int, 1))
+    p.add_argument("--seed", type=int, default=_env_default("seed", 0))
+    p.add_argument("--jobs", type=int, default=_env_default("jobs", 1))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_recovery_sweep)
 

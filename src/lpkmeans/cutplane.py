@@ -28,13 +28,20 @@ from lpkmeans.heuristics import (
 )
 from lpkmeans.lp_model import CutPool, active_cuts, build
 from lpkmeans.separation import SeparationLimit, separate_exhaustive, separate_greedy
-from lpkmeans.solver import safe_lower_bound, solve, tolerance_schedule
+from lpkmeans.solver import safe_lower_bound, solve
 
 __all__ = ["SolveConfig", "RoundRecord", "SolveTrace", "gap", "solve_kmeans_lp"]
 
 _LP_MAX_ITERS = 400_000  # PDHG iterations per LP solve
 _TIGHT_TOL = 1e-5  # entrywise tolerance of the final partition-matrix test
 _DROP_PATIENCE = 2  # consecutive slack rounds before a cut is dropped
+# The working LP tolerance is a running minimum of 0.1 r_g, held at or above
+# the floor.  It starts at 0.1, the rule's value at the start bound f_lb = 0
+# (r_g = 1): loose early rounds buy cuts, not digits.  It falls tenfold on a
+# stalled bound, and the converged and no-more-cuts decisions always run at
+# the floor.  Every bound comes from safe_lower_bound, whatever the tolerance.
+_LP_TOL_START = 1e-1
+_LP_TOL_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -48,19 +55,15 @@ class SolveConfig:
     t_cap: int | None = None  # largest |S| ever separated (default: K)
     seed: int = 0
     max_rounds: int = 200
-    # Cap on the working LP tolerance, which is otherwise 0.1 r_g (see
-    # tolerance_schedule).  0.1 is the rule's value at the start bound
-    # f_lb = 0 (r_g = 1), so round 1 (r_g = inf) starts there and later rounds
-    # (f_lb >= 0, r_g <= 1) never reach the cap: loose early rounds buy cuts,
-    # not digits.  The converged and the no-more-cuts decisions always run at
-    # lp_tol_floor, and every bound comes from safe_lower_bound.
-    lp_tol_start: float = 1e-1
-    lp_tol_floor: float = 1e-8
     keep_pools: bool = False
 
     def __post_init__(self):
         if self.eps_opt <= 0:
             raise ValueError("eps_opt must be positive")
+        if self.p_init is not None and self.p_init < 0:
+            raise ValueError("p_init must be >= 0")
+        if self.p_max is not None and self.p_max < 0:
+            raise ValueError("p_max must be >= 0")
         if self.t_cap is not None and self.t_cap < 2:
             raise ValueError("t_cap must be >= 2")
         if self.max_rounds < 1:
@@ -166,22 +169,14 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
     t_max = 2  # separation starts at pair cuts and escalates up to t_limit
     warm = None
     step = primal_weight = None  # PDHG state carried with every warm start
-    forced_tol: float | None = None
-    tol_ceiling = cfg.lp_tol_start  # ratchets down whenever the bound stalls
+    lp_tol = _LP_TOL_START
     slack_ages = np.zeros(len(pool), dtype=np.int64)  # aligned to the pool rows
     lp = None
     x_lb = None
 
     for round_idx in range(1, cfg.max_rounds + 1):
         lp = build(d, k, pool, base=lp)
-        if forced_tol is not None:
-            lp_tol = forced_tol
-        else:
-            lp_tol = min(
-                tol_ceiling, tolerance_schedule(r_g, cfg.lp_tol_start, cfg.lp_tol_floor)
-            )
-        tol_ceiling = min(tol_ceiling, lp_tol)
-        forced_tol = None
+        lp_tol = float(min(lp_tol, max(_LP_TOL_FLOOR, 0.1 * r_g)))  # r_g = inf keeps it
 
         t0 = time.monotonic()
         sol = solve(
@@ -230,9 +225,9 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
         trace.rounds.append(record)
 
         if r_g <= cfg.eps_opt:
-            if lp_tol > cfg.lp_tol_floor:
+            if lp_tol > _LP_TOL_FLOOR:
                 # confirm at full accuracy before reporting tightness
-                forced_tol = cfg.lp_tol_floor
+                lp_tol = _LP_TOL_FLOOR
                 warm = (sol.x, sol.y, sol.z)
                 continue
             trace.status = "converged"
@@ -245,20 +240,19 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
 
         t0 = time.monotonic()
         report = separate_greedy(x_lb, t_max, cfg.eps_vio)
-        if not report.cuts and t_max < t_limit:
+        while not report.cuts and t_max < t_limit:
             t_max += 1
             report = separate_greedy(x_lb, t_max, cfg.eps_vio)
-        if not report.cuts and t_max >= t_limit:
-            if lp_tol > cfg.lp_tol_floor:
+        if not report.cuts:
+            if lp_tol > _LP_TOL_FLOOR:
                 # apparent optimality at loose accuracy: tighten, re-solve the
                 # unchanged pool, and stay at full accuracy for the endgame
                 record.time_separate = time.monotonic() - t0
-                forced_tol = cfg.lp_tol_floor
-                tol_ceiling = cfg.lp_tol_floor
+                lp_tol = _LP_TOL_FLOOR
                 warm = (sol.x, sol.y, sol.z)
                 continue
             try:
-                report = separate_exhaustive(x_lb, min(t_max, t_limit), cfg.eps_vio, cap=p_max)
+                report = separate_exhaustive(x_lb, t_max, cfg.eps_vio, cap=p_max)
             except SeparationLimit:
                 # no proof that no violated cut remains: the bounds hold, the gap stays open
                 record.time_separate = time.monotonic() - t0
@@ -282,7 +276,7 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
         if bound_stalled or added == 0:
             # working accuracy must outrun the separation noise or the pool
             # just churns; ratchet the tolerance down on stalled progress
-            tol_ceiling = max(cfg.lp_tol_floor, 0.1 * tol_ceiling)
+            lp_tol = max(_LP_TOL_FLOOR, 0.1 * lp_tol)
 
         # a cut keeps its dual, also one dropped and separated again
         old_rows = pool.lookup(kept)

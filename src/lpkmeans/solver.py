@@ -27,7 +27,7 @@ from lpkmeans.lp_model import LpStandardForm
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-__all__ = ["LpSolution", "solve", "safe_lower_bound", "tolerance_schedule"]
+__all__ = ["LpSolution", "solve", "safe_lower_bound"]
 
 _EPS = 1e-12
 
@@ -59,16 +59,6 @@ class LpSolution:
     rejected_steps: int
     restarts: int
     matvecs: int
-
-
-def tolerance_schedule(r_g: float, start: float, floor: float) -> float:
-    """Working LP tolerance for the cutting loop: 0.1 r_g, so loose while the
-    optimality gap is large and tightened geometrically as it shrinks, capped
-    at ``start`` and held at or above ``floor``.  The loop decides tightness
-    and runs its exhaustive separation only after a solve at ``floor``."""
-    if not np.isfinite(r_g):
-        return start
-    return float(min(start, max(floor, 0.1 * r_g)))
 
 
 def safe_lower_bound(lp: LpStandardForm, sol: LpSolution) -> float:

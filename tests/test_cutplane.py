@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lpkmeans.cutplane as cutplane
 from lpkmeans.core import (
     PointSet,
     kmeans_cost,
@@ -143,6 +144,42 @@ def test_zero_cost_bounds_clamped(coords):
     assert not any(r.exhaustive for r in trace.rounds)
 
 
+def replay_schedule_rule(trace, eps_opt: float, start: float, floor: float) -> list[float]:
+    """The working tolerance of every round under the rule the running
+    minimum replaced, replayed from the round records: a schedule
+    min(start, max(floor, 0.1 r_g)) under a ceiling that fell tenfold on a
+    stalled bound, and a forced floor for the re-solve of an unchanged pool
+    (the confirm solve, and the one after a loose round found no cut)."""
+
+    def schedule(r_g):
+        if not np.isfinite(r_g):
+            return start
+        return float(min(start, max(floor, 0.1 * r_g)))
+
+    tols = []
+    forced, ceiling, r_g, f_lb = None, start, np.inf, 0.0
+    for rec in trace.rounds:
+        lp_tol = forced if forced is not None else min(ceiling, schedule(r_g))
+        ceiling = min(ceiling, lp_tol)
+        forced = None
+        tols.append(lp_tol)
+        stalled = rec.safe_bound <= f_lb + 1e-7 * (1.0 + abs(f_lb))
+        f_lb, r_g = rec.f_lb, rec.r_g
+        if rec.r_g <= eps_opt:
+            forced = floor
+        elif rec.violated_found == 0:
+            forced = ceiling = floor
+        elif stalled or rec.cuts_added == 0:
+            ceiling = max(floor, 0.1 * ceiling)
+    return tols
+
+
+def assert_replays_schedule_rule(trace, cfg, start):
+    recorded = [r.lp_tol for r in trace.rounds]
+    assert all(type(t) is float for t in recorded)
+    assert recorded == replay_schedule_rule(trace, cfg.eps_opt, start, cutplane._LP_TOL_FLOOR)
+
+
 # Uniform points whose K = 3 solve mixes |S| = 2 and |S| = 3 cuts in one pool,
 # through LP assembly, cut aging and the warm-start dual remap.  The rounds
 # run at a working tolerance of at most 1e-4.  The assignment and f_ub are
@@ -150,26 +187,29 @@ def test_zero_cost_bounds_clamped(coords):
 # of the final duals, so it pins the PDHG iterates too (adaptive steps, with
 # the step and primal weight carried across rounds).
 K3_MIXED = {
-    "escalate": (dict(lp_tol_start=1e-4), 1.4836915987580173, 1.483691598992277),
+    "escalate": (1e-4, 1.4836915987580173, 1.483691598992277),
 }
 K3_ASSIGN = [2, 2, 0, 0, 0, 2, 0, 1, 1, 2, 1, 1, 1, 1, 1, 2, 0, 2]
 
 
-def k3_mixed_solve(**overrides):
+def k3_mixed_solve():
     points = PointSet(np.random.default_rng(110).uniform(size=(18, 2)))
-    p, trace, tight = solve_kmeans_lp(points, SolveConfig(k=3, seed=10, keep_pools=True, **overrides))
+    cfg = SolveConfig(k=3, seed=10, keep_pools=True)
+    p, trace, tight = solve_kmeans_lp(points, cfg)
     assert trace.status == "converged" and tight
     assert p.assign.tolist() == K3_ASSIGN
     mixed = [r for r in trace.rounds if {len(s) for _, s in cut_rows(r.pool_snapshot)} == {2, 3}]
     assert len(mixed) >= 2
     assert trace.rounds[-1].t_max == 3
+    assert_replays_schedule_rule(trace, cfg, cutplane._LP_TOL_START)
     return trace
 
 
 @pytest.mark.parametrize("case", sorted(K3_MIXED))
-def test_mixed_size_pool_k3_regression(case):
-    overrides, f_lb, f_ub = K3_MIXED[case]
-    trace = k3_mixed_solve(**overrides)
+def test_mixed_size_pool_k3_regression(case, monkeypatch):
+    start, f_lb, f_ub = K3_MIXED[case]
+    monkeypatch.setattr(cutplane, "_LP_TOL_START", start)
+    trace = k3_mixed_solve()
     assert trace.f_lb == pytest.approx(f_lb, rel=1e-12)
     assert trace.f_ub == pytest.approx(f_ub, rel=1e-12)
 
@@ -194,24 +234,26 @@ LOOSE_START_CORPUS = {
 
 
 @pytest.mark.parametrize("case", sorted(LOOSE_START_CORPUS))
-def test_loose_start_same_answers(case):
+def test_loose_start_same_answers(case, monkeypatch):
     spec, k = LOOSE_START_CORPUS[case]
     points, _ = generate(GenSpec(**spec))
-    default = SolveConfig(k=k, seed=1)
-    p, trace, tight = solve_kmeans_lp(points, default)
-    p_ref, ref, tight_ref = solve_kmeans_lp(points, SolveConfig(k=k, seed=1, lp_tol_start=1e-4))
+    cfg = SolveConfig(k=k, seed=1)
+    p, trace, tight = solve_kmeans_lp(points, cfg)
+    assert trace.rounds[0].lp_tol == cutplane._LP_TOL_START == 1e-1
+    monkeypatch.setattr(cutplane, "_LP_TOL_START", 1e-4)
+    p_ref, ref, tight_ref = solve_kmeans_lp(points, cfg)
+    assert ref.rounds[0].lp_tol == 1e-4
     assert trace.status == ref.status
     assert tight == tight_ref
     assert same_partition(p.assign, p_ref.assign)
     assert trace.f_ub == pytest.approx(ref.f_ub, rel=1e-9, abs=1e-12)
     assert trace.f_lb <= trace.f_ub
-    assert trace.rounds[0].lp_tol == default.lp_tol_start == 1e-1
     if trace.status == "converged":
-        assert trace.rounds[-1].lp_tol == default.lp_tol_floor
+        assert trace.rounds[-1].lp_tol == cutplane._LP_TOL_FLOOR
 
 
 @st.composite
-def small_instances(draw):
+def small_instances(draw, ks=(2, 3)):
     if draw(st.booleans()):
         n = 2 * draw(st.integers(5, 15))
         spec = GenSpec(model="ssm", n=n, m=2, delta=draw(st.sampled_from([1.8, 2.2, 3.0])),
@@ -219,23 +261,55 @@ def small_instances(draw):
     else:
         spec = GenSpec(model="five_ball", m=3, radius=draw(st.sampled_from([0.05, 0.1, 0.2])),
                        n_prime=draw(st.integers(1, 6)), seed=draw(st.integers(0, 2**16)))
-    return generate(spec)[0], draw(st.sampled_from([2, 3]))
+    return generate(spec)[0], draw(st.sampled_from(ks))
+
+
+K4_REPRODUCER = (PointSet(np.random.default_rng(4).uniform(size=(12, 2))), 4)
 
 
 @settings(max_examples=12, deadline=None)
-@given(small_instances(), st.integers(0, 2**16))
+@given(small_instances(ks=(2, 3, 4)), st.integers(0, 2**16))
+@example(K4_REPRODUCER, 4)
 def test_default_tolerance_path(instance, seed):
     # the default config: round 1 at 0.1, later rounds at no more than
-    # 0.1 r_g of the round before, and every final decision at the floor
+    # 0.1 r_g of the round before, and every final decision at the floor;
+    # "no more cuts" is a proof, an exhaustive separation at the floor
     points, k = instance
     cfg = SolveConfig(k=k, seed=seed)
     _, trace, _ = solve_kmeans_lp(points, cfg)
+    floor = cutplane._LP_TOL_FLOOR
     assert trace.rounds[0].lp_tol == 0.1
     for prev, cur in zip(trace.rounds, trace.rounds[1:]):
-        assert cur.lp_tol <= max(cfg.lp_tol_floor, 0.1 * prev.r_g)
+        assert cur.lp_tol <= max(floor, 0.1 * prev.r_g)
     if trace.status in ("converged", "no_more_cuts"):
-        assert trace.rounds[-1].lp_tol == cfg.lp_tol_floor
+        assert trace.rounds[-1].lp_tol == floor
+    if trace.status == "no_more_cuts":
+        assert trace.rounds[-1].exhaustive
     assert trace.f_lb <= trace.f_ub
+
+
+@settings(max_examples=10, deadline=None)
+@given(small_instances(), st.integers(0, 2**16))
+def test_tolerance_replays_schedule_rule(instance, seed):
+    # the running minimum gives, round by round, the tolerance of the
+    # schedule, ceiling and forced floor it replaced
+    points, k = instance
+    cfg = SolveConfig(k=k, seed=seed)
+    _, trace, _ = solve_kmeans_lp(points, cfg)
+    assert_replays_schedule_rule(trace, cfg, cutplane._LP_TOL_START)
+
+
+def test_k4_escalates_to_the_proof_before_stopping():
+    # no pair or triple cut is violated at the loose round-1 solution: the
+    # greedy escalates to |S| = 4 and the pool is re-solved at the floor,
+    # rather than stopping at "no more cuts" with no exhaustive proof
+    points, k = K4_REPRODUCER
+    _, trace, tight = solve_kmeans_lp(points, SolveConfig(k=k, seed=4))
+    assert trace.status == "converged" and tight
+    assert trace.r_g <= 1e-4
+    assert trace.rounds[0].lp_tol == 0.1
+    assert trace.rounds[-1].lp_tol == cutplane._LP_TOL_FLOOR
+    assert trace.rounds[-1].t_max == 4
 
 
 def test_warm_starts_carry_step_and_primal_weight(monkeypatch):
@@ -293,6 +367,11 @@ def test_config_validation():
     with pytest.raises(ValueError, match="t_cap"):
         SolveConfig(k=2, t_cap=1)
     SolveConfig(k=3, t_cap=2)  # pair cuts only
+    with pytest.raises(ValueError, match="p_init"):
+        SolveConfig(k=2, p_init=-1)
+    with pytest.raises(ValueError, match="p_max"):
+        SolveConfig(k=2, p_max=-5)
+    SolveConfig(k=2, p_init=0, p_max=0)
     with pytest.raises(ValueError):
         SolveConfig(k=2, max_rounds=0)
 

@@ -17,7 +17,6 @@ from lpkmeans.solver import (
     _ruiz_and_pock_chambolle,
     safe_lower_bound,
     solve,
-    tolerance_schedule,
 )
 
 from conftest import random_partition, random_points
@@ -276,27 +275,6 @@ def test_carried_primal_weight_clipped(five_point):
     for weight, clipped in ((1e9, 1e4), (1e-9, 1e-4)):
         sol = solve(lp, tol=1e-12, max_iters=1, primal_weight=weight)
         assert sol.primal_weight == clipped
-
-
-def test_tolerance_schedule():
-    assert tolerance_schedule(np.inf, 1e-4, 1e-8) == 1e-4
-    assert tolerance_schedule(1.0, 1e-4, 1e-8) == 1e-4
-    assert tolerance_schedule(1e-3, 1e-4, 1e-8) == pytest.approx(1e-4)
-    assert tolerance_schedule(1e-5, 1e-4, 1e-8) == pytest.approx(1e-6)
-    assert tolerance_schedule(1e-12, 1e-4, 1e-8) == 1e-8
-    # a looser start lets 0.1 r_g act while the gap is above 1e-3
-    assert tolerance_schedule(np.inf, 1e-3, 1e-8) == 1e-3
-    assert tolerance_schedule(1.0, 1e-3, 1e-8) == 1e-3
-    assert tolerance_schedule(5e-3, 1e-3, 1e-8) == pytest.approx(5e-4)
-    assert tolerance_schedule(1e-5, 1e-3, 1e-8) == pytest.approx(1e-6)
-    assert tolerance_schedule(1e-12, 1e-3, 1e-8) == 1e-8
-    # the default start, 0.1, is the rule's value at r_g = 1 (the start
-    # bound f_lb = 0), so after round 1 the cap never binds
-    assert tolerance_schedule(np.inf, 1e-1, 1e-8) == 1e-1
-    assert tolerance_schedule(1.0, 1e-1, 1e-8) == 1e-1
-    assert tolerance_schedule(0.5, 1e-1, 1e-8) == pytest.approx(5e-2)
-    assert tolerance_schedule(5e-3, 1e-1, 1e-8) == pytest.approx(5e-4)
-    assert tolerance_schedule(1e-12, 1e-1, 1e-8) == 1e-8
 
 
 def diag_product_equilibration(kmat, ruiz_iters=8, alpha=1.0):
