@@ -8,7 +8,6 @@ maps a local index pair to its slot.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -265,6 +264,8 @@ def _stats_and_gamma(
     """Stats and read-only gamma (twice the pair slacks) of ``(d, p)``, from
     the last evaluation when it was of this same, unchanged ``d`` and this
     partition."""
+    import hashlib  # here, not at import: it loads OpenSSL's libcrypto
+
     global _last
     d = np.asarray(d, dtype=np.float64)
     key = (p.k, p.assign.tobytes(), d.shape, d.dtype.str)

@@ -57,6 +57,17 @@ def _env_default(name: str, fallback):
     return os.environ.get("LPKMEANS_" + name.upper().replace("-", "_"), fallback)
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of a budget: a number > 0, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value > 0:  # NaN too
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # CSV I/O
 # ---------------------------------------------------------------------------
@@ -145,7 +156,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p-init", type=int, default=_env_default("p-init", None))
     p.add_argument("--p-max", type=int, default=_env_default("p-max", None))
     p.add_argument(
-        "--lp-time-limit", type=float, default=_env_default("lp-time-limit", None)
+        "--lp-time-limit", type=_positive_float, default=_env_default("lp-time-limit", None)
     )
     p.add_argument("--t-max", type=int, default=_env_default("t-max", None),
                    help="cap on the inequality set size (default: K)")

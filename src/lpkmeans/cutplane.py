@@ -64,6 +64,8 @@ class SolveConfig:
             raise ValueError("p_init must be >= 0")
         if self.p_max is not None and self.p_max < 0:
             raise ValueError("p_max must be >= 0")
+        if self.lp_time_limit is not None and not self.lp_time_limit > 0:
+            raise ValueError("lp_time_limit must be positive")
         if self.t_cap is not None and self.t_cap < 2:
             raise ValueError("t_cap must be >= 2")
         if self.max_rounds < 1:
@@ -243,6 +245,7 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
         while not report.cuts and t_max < t_limit:
             t_max += 1
             report = separate_greedy(x_lb, t_max, cfg.eps_vio)
+        record.t_max = t_max  # the |S| the round separated at
         if not report.cuts:
             if lp_tol > _LP_TOL_FLOOR:
                 # apparent optimality at loose accuracy: tighten, re-solve the

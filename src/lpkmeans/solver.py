@@ -43,7 +43,7 @@ class LpSolution:
     the next iteration would take and the primal weight, both in the
     solver's scaled space; a warm start may pass them back to :func:`solve`.
     ``restarts`` counts PDHG restarts and ``matvecs`` the products with K or
-    K^T, scaled or not, that the solve ran, its checks included.
+    K^T that the solve ran, its checks included.
     """
 
     x: np.ndarray
@@ -71,25 +71,24 @@ def safe_lower_bound(lp: LpStandardForm, sol: LpSolution) -> float:
     return float(sol.y @ lp.b_eq - r @ lp.ub)
 
 
-def _ruiz_and_pock_chambolle(kmat: sp.csr_matrix, ruiz_iters: int = 8,
-                             alpha: float = 1.0) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """Diagonal equilibration; returns (scaled matrix, row scale, col scale)
-    with scaled = diag(dr) @ K @ diag(dc).
+def _ruiz_and_pock_chambolle(k: sp.csr_matrix, ruiz_iters: int = 8,
+                             alpha: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal equilibration of ``k`` in place: ``k`` becomes
+    diag(dr) @ K @ diag(dc), its explicit zeros dropped, and (dr, dc) are
+    returned.
 
-    The scaling works on the CSR arrays in place.  Row reductions are
-    ``reduceat`` over the non-empty rows and column reductions are ``at``
-    in storage order, as scipy's own sparse ``max``/``sum`` compute them,
-    so the result is bit for bit that of the sparse diagonal products.  The
-    Ruiz passes end early at their fixed point, a pass whose row and column
-    factors are all exactly 1.0."""
-    m, nv = kmat.shape
+    Row reductions are ``reduceat`` over the non-empty rows and column
+    reductions are ``at`` in storage order, as scipy's own sparse
+    ``max``/``sum`` compute them, so the result is bit for bit that of the
+    sparse diagonal products.  The Ruiz passes end early at their fixed
+    point, a pass whose row and column factors are all exactly 1.0."""
+    m, nv = k.shape
     dr = np.ones(m)
     dc = np.ones(nv)
-    k = kmat.tocsr(copy=True)
     k.eliminate_zeros()  # as the diagonal products would
     starts = k.indptr[:-1]
     nonempty = np.diff(k.indptr) > 0
-    rows = np.repeat(np.arange(m), np.diff(k.indptr))
+    rows = np.repeat(np.arange(m, dtype=np.int32), np.diff(k.indptr))
 
     def rescale(op, row_vals, col_vals, root):
         row_red = np.zeros(m)
@@ -117,8 +116,10 @@ def _ruiz_and_pock_chambolle(kmat: sp.csr_matrix, ruiz_iters: int = 8,
             break
     if alpha > 0:
         absk = np.abs(k.data)
-        rescale(np.add, absk**alpha, absk ** (2.0 - alpha), lambda v: np.sqrt(np.sqrt(v)))
-    return k, dr, dc
+        # x**1.0 == x, so alpha = 1 sums |K| itself
+        row_vals, col_vals = (absk, absk) if alpha == 1.0 else (absk**alpha, absk ** (2.0 - alpha))
+        rescale(np.add, row_vals, col_vals, lambda v: np.sqrt(np.sqrt(v)))
+    return dr, dc
 
 
 def solve(
@@ -139,23 +140,26 @@ def solve(
     1 / max|K| and ||c|| / ||q|| on the scaled data.
     """
     import scipy.sparse as sp
-    from scipy.sparse._sparsetools import csr_matvec  # the kernel behind csr @ vector
+    # the kernels behind csr @ vector and csc @ vector
+    from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
     t0 = time.monotonic()
     nv = lp.n_vars
     me = lp.a_eq.shape[0]
     mi = lp.q.shape[0]
+    m = me + mi
 
-    # internal >=-form: rows [A; -Q], rhs [b; 0], duals free / >= 0
+    # internal >=-form: rows [A; -Q], rhs [b; 0], duals free / >= 0.  The
+    # solve holds one copy of K, its own, equilibrated in place; its CSR
+    # arrays are the CSC arrays of K^T, so no transpose is built.
     if mi:
-        k_orig = sp.vstack([lp.a_eq, -lp.q], format="csr")
+        k_s = sp.vstack([lp.a_eq, lp.q], format="csr")
+        np.negative(k_s.data[k_s.indptr[me]:], out=k_s.data[k_s.indptr[me]:])
     else:
-        k_orig = lp.a_eq
-    k_orig_t = k_orig.T.tocsr()
+        k_s = lp.a_eq.tocsr(copy=True)
     q_rhs = np.concatenate([lp.b_eq, np.zeros(mi)])
 
-    k_s, dr, dc = _ruiz_and_pock_chambolle(k_orig)
-    k_s_t = k_s.T.tocsr()
+    dr, dc = _ruiz_and_pock_chambolle(k_s)
     c_s = lp.c * dc
     q_s = q_rhs * dr
     lb_s = lp.lb / dc
@@ -179,50 +183,66 @@ def solve(
         yin[me:] = np.maximum(yin[me:], 0.0)
     else:
         x = np.clip(np.zeros(nv), lb_s, ub_s)
-        yin = np.zeros(me + mi)
+        yin = np.zeros(m)
 
     # Every vector the iterations write is allocated here, once.  The
     # accepted iterate (x, yin, kty = K^T yin) and the candidate step
     # (x_new, y_new, kty_new) trade buffers on acceptance; dx, dy and dk
     # also hold the step's intermediates and the averages' increments.
+    # Between steps dy and dk are free, and the checks keep K x and
+    # K^T y_bar there.
     x_new, dx, dk, kty, kty_new = (np.empty(nv) for _ in range(5))
-    y_new, dy = np.empty(me + mi), np.empty(me + mi)
+    y_new, dy = np.empty(m), np.empty(m)
+    kx, kty_bar = dy, dk
     x_bar, y_bar = x.copy(), yin.copy()
     x_prev_restart, y_prev_restart = x.copy(), yin.copy()
-    res, reduced = np.empty(me + mi), np.empty(nv)  # for the checks
+    res, reduced = np.empty(m), np.empty(nv)  # for the checks
     matvecs = 0
 
-    def matvec(mat: sp.csr_matrix, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # out = mat @ v through the kernel that ``@`` runs; the kernel adds
-        # to what ``out`` holds
+    def k_dot(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # out = K v through the kernel that ``@`` runs; the kernel adds to
+        # what ``out`` holds
         nonlocal matvecs
         matvecs += 1
         out.fill(0.0)
-        csr_matvec(mat.shape[0], mat.shape[1], mat.indptr, mat.indices, mat.data, v, out)
+        csr_matvec(m, nv, k_s.indptr, k_s.indices, k_s.data, v, out)
+        return out
+
+    def kt_dot(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # out = K^T v, reading K's CSR arrays as the CSC arrays of K^T: the
+        # same sums in the same order as csr_matvec over K^T in CSR form
+        nonlocal matvecs
+        matvecs += 1
+        out.fill(0.0)
+        csc_matvec(nv, m, k_s.indptr, k_s.indices, k_s.data, v, out)
         return out
 
     def restart_error(xv: np.ndarray, yv: np.ndarray, w: float,
-                      ktyv: np.ndarray | None = None) -> float:
-        # weighted squared KKT error in the scaled space; ktyv is K^T yv
-        # when the caller has it
-        np.subtract(q_s, matvec(k_s, xv, res), out=res)
+                      kxv: np.ndarray, ktyv: np.ndarray) -> float:
+        # weighted squared KKT error in the scaled space, from kxv = K xv
+        # and ktyv = K^T yv
+        np.subtract(q_s, kxv, out=res)
         np.maximum(res[me:], 0.0, out=res[me:])
-        np.subtract(c_s, matvec(k_s_t, yv, reduced) if ktyv is None else ktyv, out=reduced)
+        np.subtract(c_s, ktyv, out=reduced)
         pobj = float(c_s @ xv)
         dobj = float(yv @ q_s + np.minimum(reduced, 0.0, out=reduced) @ ub_s)
         return (w * w) * float(res @ res) + (pobj - dobj) ** 2
 
-    def kkt(xv: np.ndarray, yv: np.ndarray) -> tuple:
+    def kkt(xv: np.ndarray, yv: np.ndarray, kxv: np.ndarray, ktyv: np.ndarray) -> tuple:
         """Relative primal residual and gap on the original data, with the
-        primal objective and the unscaled pair.  The boxes are finite, so
-        bound multipliers absorb the reduced cost exactly and the dual
-        residual is zero by construction."""
+        primal objective and the unscaled pair, from the scaled products
+        kxv = K xv and ktyv = K^T yv: the unscaled pair has K_u x_u = kxv / dr
+        and K_u^T y_u = ktyv / dc.  The boxes are finite, so bound multipliers
+        absorb the reduced cost exactly and the dual residual is zero by
+        construction."""
         x_u = xv * dc
         y_u = yv * dr
-        np.subtract(q_rhs, matvec(k_orig, x_u, res), out=res)
+        np.divide(kxv, dr, out=res)
+        np.subtract(q_rhs, res, out=res)
         np.maximum(res[me:], 0.0, out=res[me:])  # >=-form rows: only shortfall counts
         pr = np.linalg.norm(res) / (1.0 + np.linalg.norm(lp.b_eq))
-        np.subtract(lp.c, matvec(k_orig_t, y_u, reduced), out=reduced)
+        np.divide(ktyv, dc, out=reduced)
+        np.subtract(lp.c, reduced, out=reduced)
         pobj = float(lp.c @ x_u)
         dobj = float(y_u[:me] @ lp.b_eq + np.minimum(reduced, 0.0, out=reduced) @ lp.ub)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
@@ -247,10 +267,10 @@ def solve(
     iterations = 0
     rejected = 0
     restarts = 0
-    matvec(k_s_t, yin, kty)
+    kt_dot(yin, kty)
 
     while True:
-        err_at_restart = restart_error(x, yin, omega, kty)
+        err_at_restart = restart_error(x, yin, omega, k_dot(x, kx), kty)
         np.copyto(x_bar, x)
         np.copyto(y_bar, yin)
         step_sum = 0.0  # of the accepted steps since the restart
@@ -275,11 +295,11 @@ def solve(
                 # y_new = proj(y + (eta omega) (q - K (2 x_new - x)))
                 np.multiply(2.0, x_new, out=dx)
                 np.subtract(dx, x, out=dx)
-                np.subtract(q_s, matvec(k_s, dx, dy), out=dy)
+                np.subtract(q_s, k_dot(dx, dy), out=dy)
                 np.multiply(eta * omega, dy, out=dy)
                 np.add(yin, dy, out=y_new)
                 np.maximum(y_new[me:], 0.0, out=y_new[me:])
-                matvec(k_s_t, y_new, kty_new)
+                kt_dot(y_new, kty_new)
                 np.subtract(x_new, x, out=dx)
                 np.subtract(y_new, yin, out=dy)
                 np.subtract(kty_new, kty, out=dk)
@@ -312,18 +332,20 @@ def solve(
                 continue
 
             if not (np.isfinite(x).all() and np.isfinite(yin).all()):
-                return finalize(kkt(x_prev_restart, y_prev_restart), "numerical_failure")
+                failed = kkt(x_prev_restart, y_prev_restart, k_dot(x_prev_restart, kx),
+                             kt_dot(y_prev_restart, kty_bar))
+                return finalize(failed, "numerical_failure")
 
-            # termination on the original problem, for current and averaged
-            current = kkt(x, yin)
+            # termination on the original problem, for current and averaged;
+            # each pair's products serve its restart error too
+            current = kkt(x, yin, k_dot(x, kx), kty)
             if max(current[:2]) <= tol:
                 return finalize(current, "optimal_to_tol")
-            average = kkt(x_bar, y_bar)
+            err_cur = restart_error(x, yin, omega, kx, kty)
+            average = kkt(x_bar, y_bar, k_dot(x_bar, kx), kt_dot(y_bar, kty_bar))
             if max(average[:2]) <= tol:
                 return finalize(average, "optimal_to_tol")
-
-            err_cur = restart_error(x, yin, omega, kty)
-            err_avg = restart_error(x_bar, y_bar, omega)
+            err_avg = restart_error(x_bar, y_bar, omega, kx, kty_bar)
             use_current = err_cur <= err_avg
             if iterations >= max_iters:
                 return finalize(current if use_current else average, "iteration_limit")
@@ -345,7 +367,7 @@ def solve(
                 if not use_current:  # restart to the average
                     np.copyto(x, x_bar)
                     np.copyto(yin, y_bar)
-                    matvec(k_s_t, yin, kty)
+                    np.copyto(kty, kty_bar)
                 break
 
         dx_norm = np.linalg.norm(np.subtract(x, x_prev_restart, out=dx))

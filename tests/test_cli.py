@@ -147,6 +147,26 @@ def test_solve_input_errors(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("limit", ["0", "-1", "nan", "x"])
+def test_solve_rejects_a_non_positive_lp_time_limit(tmp_path, capsys, monkeypatch, limit):
+    # a usage error before any work, from the flag and from the environment
+    pts = tmp_path / "p.csv"
+    pts.write_text("0,0\n4,0\n0,4\n4,4\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", str(pts), "--k", "2", "--lp-time-limit", limit])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and not out
+    assert f"argument --lp-time-limit: must be a positive number, got '{limit}'" in err
+    monkeypatch.setenv("LPKMEANS_LP_TIME_LIMIT", limit)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", str(pts), "--k", "2"])
+    assert exc.value.code == 2 and "--lp-time-limit" in capsys.readouterr().err
+    # an explicit positive flag wins over the variable
+    code, out, _ = run_cli(capsys, "solve", "--input", str(pts), "--k", "2",
+                           "--lp-time-limit", "5")
+    assert code in (0, 2) and json.loads(out)["config"]["lp_time_limit"] == 5.0
+
+
 def test_header_flag(tmp_path, capsys):
     pts = tmp_path / "h.csv"
     pts.write_text("x,y\n0,0\n1,0\n0,1\n")

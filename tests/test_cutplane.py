@@ -13,6 +13,7 @@ from lpkmeans.core import (
 from lpkmeans.cutplane import SolveConfig, _age_cuts, gap, solve_kmeans_lp
 from lpkmeans.generators import GenSpec, generate
 from lpkmeans.lp_model import CutPool, all_cuts, build
+from lpkmeans.separation import separate_greedy
 from lpkmeans.solver import solve
 
 from conftest import cut_rows, random_points
@@ -312,6 +313,22 @@ def test_k4_escalates_to_the_proof_before_stopping():
     assert trace.rounds[-1].t_max == 4
 
 
+def test_round_records_the_set_size_it_separated_at(monkeypatch):
+    # round 1 starts at |S| = 2 and its greedy escalates within the round to
+    # |S| = 4; the record holds the size of the last greedy call
+    points, k = K4_REPRODUCER
+    calls = []
+
+    def recording_greedy(x, t_max, eps_vio):
+        calls.append(t_max)
+        return separate_greedy(x, t_max, eps_vio)
+
+    monkeypatch.setattr(cutplane, "separate_greedy", recording_greedy)
+    _, trace, _ = solve_kmeans_lp(points, SolveConfig(k=k, seed=4))
+    assert calls[:3] == [2, 3, 4]
+    assert trace.rounds[0].t_max == 4
+
+
 def test_warm_starts_carry_step_and_primal_weight(monkeypatch):
     # every solve after the first starts from the previous solve's step and
     # primal weight: after new cuts and on the confirm re-solve alike
@@ -372,6 +389,10 @@ def test_config_validation():
     with pytest.raises(ValueError, match="p_max"):
         SolveConfig(k=2, p_max=-5)
     SolveConfig(k=2, p_init=0, p_max=0)
+    for limit in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="lp_time_limit"):
+            SolveConfig(k=2, lp_time_limit=limit)
+    SolveConfig(k=2, lp_time_limit=1e-3)
     with pytest.raises(ValueError):
         SolveConfig(k=2, max_rounds=0)
 

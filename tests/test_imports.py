@@ -45,3 +45,16 @@ def test_certify_pipeline_loads_no_scipy_and_first_solve_does():
     partition, trace, tight = lpkmeans.solve_kmeans_lp(points, lpkmeans.SolveConfig(k=2))
     assert out["assign"] == partition.assign.tolist()
     assert (out["f_lb"], out["f_ub"], out["tight"]) == (trace.f_lb.hex(), trace.f_ub.hex(), tight)
+
+
+def test_cli_import_loads_no_scipy_and_no_libcrypto():
+    # hashlib loads OpenSSL's libcrypto; certify imports it where it digests d
+    src = str(Path(lpkmeans.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = ("import json, sys, lpkmeans.cli; print(json.dumps(sorted(m for m in sys.modules "
+              "if m.split('.')[0] in ('scipy', 'hashlib', '_hashlib'))))")
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(run.stdout) == []

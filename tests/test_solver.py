@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from lpkmeans.core import pack_matrix, partition_matrix, squared_distances
 from lpkmeans.lp_model import LpStandardForm, all_cuts, build
@@ -223,6 +223,10 @@ def test_iteration_limit_reported(five_point):
     assert sol.status == "iteration_limit"
     assert sol.iterations == 50
     assert np.isfinite(sol.primal_residual) and np.isfinite(sol.gap)
+    # K^T y and K x at the start, K x and K^T y per step attempt, and three
+    # products at the one check: K x, K x_bar and K^T y_bar
+    assert sol.restarts == 0
+    assert sol.matvecs == 2 + 2 * (sol.iterations + sol.rejected_steps) + 3
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +236,8 @@ def test_iteration_limit_reported(five_point):
 
 def _cold_step(lp: LpStandardForm) -> float:
     """The step a cold solve starts from: 1 / max|K| on the scaled matrix."""
-    k_s, _, _ = _ruiz_and_pock_chambolle(sp.vstack([lp.a_eq, -lp.q], format="csr"))
+    k_s = sp.vstack([lp.a_eq, -lp.q], format="csr")
+    _ruiz_and_pock_chambolle(k_s)
     return 1.0 / np.abs(k_s.data).max()
 
 
@@ -344,14 +349,13 @@ def sparse_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(sparse_matrices(), st.sampled_from([1, 2, 8]), st.sampled_from([0.5, 1.0]))
 def test_equilibration_bit_identical_to_diag_products(kmat, ruiz_iters, alpha):
-    before = kmat.copy()
-    got, dr, dc = _ruiz_and_pock_chambolle(kmat, ruiz_iters, alpha)
+    # the kernel scales its argument in place, so it gets a copy
+    got = kmat.copy()
+    dr, dc = _ruiz_and_pock_chambolle(got, ruiz_iters, alpha)
     ref, ref_dr, ref_dc = diag_product_equilibration(kmat, ruiz_iters, alpha)
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, name), getattr(ref, name))
     assert np.array_equal(dr, ref_dr) and np.array_equal(dc, ref_dc)
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(kmat, name), getattr(before, name))
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +363,15 @@ def test_equilibration_bit_identical_to_diag_products(kmat, ruiz_iters, alpha):
 # ---------------------------------------------------------------------------
 
 
-def _reference_kkt(lp, kmat, kmat_t, q, me, x, yin):
-    kx = kmat @ x
-    res = q - kx
+def _reference_kkt(lp, k_s, k_s_t, dr, dc, q, me, xv, yv):
+    # the measures of the unscaled pair (xv dc, yv dr) from the scaled
+    # products: K (xv dc) = (K_s xv) / dr and K^T (yv dr) = (K_s^T yv) / dc
+    x = xv * dc
+    yin = yv * dr
+    res = q - (k_s @ xv) / dr
     res[me:] = np.maximum(res[me:], 0.0)
     pr = np.linalg.norm(res) / (1.0 + np.linalg.norm(lp.b_eq))
-    reduced = lp.c - kmat_t @ yin
+    reduced = lp.c - (k_s_t @ yv) / dc
     pobj = float(lp.c @ x)
     dobj = float(yin[:me] @ lp.b_eq + np.minimum(reduced, 0.0) @ lp.ub)
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
@@ -374,23 +381,23 @@ def _reference_kkt(lp, kmat, kmat_t, q, me, x, yin):
 def reference_solve(lp, tol=1e-8, time_limit=None, max_iters=400_000, warm=None,
                     scaling=True, step=None, primal_weight=None):
     """Restarted PDHG as one expression per update, allocating every vector
-    it writes and computing every product it uses through ``@``; the
-    reference for the in-place loop of :func:`solve`.  Returns the solution
-    (``matvecs`` reads 0) and the number of restarts to the average."""
+    it writes and computing every product it uses through ``@``, K^T ones
+    on a transposed copy; the reference for the in-place loop of
+    :func:`solve`.  Returns the solution (``matvecs`` reads 0) and the
+    number of restarts to the average."""
     t0 = time.monotonic()
     nv = lp.n_vars
     me = lp.a_eq.shape[0]
     mi = lp.q.shape[0]
     if mi:
-        k_orig = sp.vstack([lp.a_eq, -lp.q], format="csr")
+        k_s = sp.vstack([lp.a_eq, -lp.q], format="csr")
     else:
-        k_orig = lp.a_eq
-    k_orig_t = k_orig.T.tocsr()
+        k_s = lp.a_eq.copy()
     q_rhs = np.concatenate([lp.b_eq, np.zeros(mi)])
     if scaling:
-        k_s, dr, dc = _ruiz_and_pock_chambolle(k_orig)
+        dr, dc = _ruiz_and_pock_chambolle(k_s)
     else:
-        k_s, dr, dc = k_orig, np.ones(me + mi), np.ones(nv)
+        dr, dc = np.ones(me + mi), np.ones(nv)
     k_s_t = k_s.T.tocsr()
     c_s = lp.c * dc
     q_s = q_rhs * dr
@@ -429,7 +436,7 @@ def reference_solve(lp, tol=1e-8, time_limit=None, max_iters=400_000, warm=None,
     def finalize(xv, yv, status, iters):
         x_u = xv * dc
         y_u = yv * dr
-        pr, gap, pobj, _ = _reference_kkt(lp, k_orig, k_orig_t, q_rhs, me, x_u, y_u)
+        pr, gap, pobj, _ = _reference_kkt(lp, k_s, k_s_t, dr, dc, q_rhs, me, xv, yv)
         z = -np.maximum(y_u[me:], 0.0)
         sol = LpSolution(
             x=x_u, y=y_u[:me], z=z, primal_residual=pr, gap=gap,
@@ -481,7 +488,7 @@ def reference_solve(lp, tol=1e-8, time_limit=None, max_iters=400_000, warm=None,
             if not (np.isfinite(x).all() and np.isfinite(yin).all()):
                 return finalize(x_prev_restart, y_prev_restart, "numerical_failure", iterations)
             for xv, yv in ((x, yin), (x_bar, y_bar)):
-                pr, gap, _, _ = _reference_kkt(lp, k_orig, k_orig_t, q_rhs, me, xv * dc, yv * dr)
+                pr, gap, _, _ = _reference_kkt(lp, k_s, k_s_t, dr, dc, q_rhs, me, xv, yv)
                 if max(pr, gap) <= tol:
                     return finalize(xv, yv, "optimal_to_tol", iterations)
             if iterations >= max_iters or (
@@ -568,17 +575,57 @@ def test_reference_restarts_to_the_average():
 
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
 def test_private_csr_matvec_kernel_matches_matmul(index_dtype):
-    # solve() calls scipy's private kernel into a zeroed buffer; it must be
-    # what ``csr @ vector`` runs, bit for bit, for either index width
+    # solve() calls scipy's private kernels into a zeroed buffer; they must
+    # be what ``csr @ vector`` and ``csr.T @ vector`` run, bit for bit, for
+    # either index width.  K^T v reads K's CSR arrays as K^T's CSC arrays,
+    # and sums in the order csr_matvec takes over a transposed CSR copy.
     rng = np.random.default_rng(37)
     dense = rng.normal(size=(30, 20)) * (rng.random((30, 20)) < 0.3)
     dense[[0, 11, 29]] = 0.0  # empty rows, first and last among them
+    dense[:, [0, 7, 19]] = 0.0  # empty columns, first and last among them
     for mat in (sp.csr_matrix(dense), sp.csr_matrix(dense).T.tocsr()):
         mat.indptr = mat.indptr.astype(index_dtype)
         mat.indices = mat.indices.astype(index_dtype)
         assert mat.indptr.dtype == index_dtype and mat.indices.dtype == index_dtype
-        v = rng.normal(size=mat.shape[1])
-        out = np.full(mat.shape[0], np.nan)
+        m, nv = mat.shape
+        v = rng.normal(size=nv)
+        out = np.full(m, np.nan)
         out.fill(0.0)
-        csr_matvec(mat.shape[0], mat.shape[1], mat.indptr, mat.indices, mat.data, v, out)
+        csr_matvec(m, nv, mat.indptr, mat.indices, mat.data, v, out)
         assert _same_bits(out, mat @ v)
+        w = rng.normal(size=m)
+        out_t = np.full(nv, np.nan)
+        out_t.fill(0.0)
+        csc_matvec(nv, m, mat.indptr, mat.indices, mat.data, w, out_t)
+        assert _same_bits(out_t, mat.T @ w)
+        assert _same_bits(out_t, mat.T.tocsr() @ w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(4, 8),
+    st.sampled_from([2, 3]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["none", "some", "all"]),
+    st.booleans(),
+)
+def test_solve_leaves_the_lp_unchanged(n, k, seed, cuts, warm):
+    # solve() stacks, negates and equilibrates its own copy of K: every array
+    # of the LP reads as before, with and without cut rows
+    rng = np.random.default_rng(seed)
+    pool = all_cuts(n, 2)
+    count = {"none": 0, "some": len(pool) // 3, "all": len(pool)}[cuts]
+    lp = build(squared_distances(random_points(rng, n, 2)), k, pool[:count])
+    assert (lp.q.shape[0] == 0) == (cuts == "none")
+
+    def arrays():
+        return [lp.c, lp.b_eq, lp.lb, lp.ub,
+                *(getattr(mat, name) for mat in (lp.a_eq, lp.q)
+                  for name in ("data", "indices", "indptr"))]
+
+    before = [a.copy() for a in arrays()]
+    start = solve(lp, tol=1e-2) if warm else None
+    solve(lp, tol=1e-8, max_iters=200,
+          warm=(start.x, start.y, start.z) if warm else None)
+    for got, ref in zip(arrays(), before):
+        assert _same_bits(got, ref)
