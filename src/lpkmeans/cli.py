@@ -57,15 +57,22 @@ def _env_default(name: str, fallback):
     return os.environ.get("LPKMEANS_" + name.upper().replace("-", "_"), fallback)
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of a budget: a number > 0, else a usage error."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not value > 0:  # NaN too
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
-    return value
+def _checked(convert, ok, what: str):
+    """argparse type: ``convert(text)`` where ``ok`` holds, else a usage error."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan  # fails every comparison
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_float = _checked(float, lambda v: v > 0, "a positive number")
+_non_negative_float = _checked(float, lambda v: v >= 0, "a non-negative number")
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +158,8 @@ def _dump_json(doc: dict, out: str | None) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps-opt", type=float, default=_env_default("eps-opt", 1e-4))
-    p.add_argument("--eps-vio", type=float, default=_env_default("eps-vio", 1e-6))
+    p.add_argument("--eps-opt", type=_positive_float, default=_env_default("eps-opt", 1e-4))
+    p.add_argument("--eps-vio", type=_non_negative_float, default=_env_default("eps-vio", 1e-6))
     p.add_argument("--p-init", type=int, default=_env_default("p-init", None))
     p.add_argument("--p-max", type=int, default=_env_default("p-max", None))
     p.add_argument(
@@ -340,8 +347,6 @@ def cmd_recovery_sweep(args) -> int:
     deltas = np.arange(args.delta_min, args.delta_max + 0.5 * args.delta_step, args.delta_step)
     if deltas.size == 0:
         raise ValueError("empty delta grid")
-    if args.trials < 1:
-        raise ValueError("trials must be >= 1")
 
     tasks = []
     for di, delta in enumerate(deltas):
@@ -456,8 +461,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recovery-sweep", help="empirical recovery rates over a delta grid")
     p.add_argument("--delta-min", type=float, required=True)
     p.add_argument("--delta-max", type=float, required=True)
-    p.add_argument("--delta-step", type=float, default=0.1)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--delta-step", type=_positive_float, default=0.1)
+    p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--r1", type=float, default=1.0)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--m", type=int, default=2)
@@ -473,8 +478,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--header", action="store_true")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=400_000)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
+    p.add_argument("--max-iters", type=_positive_int, default=400_000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_lp_direct)
 

@@ -58,8 +58,10 @@ class SolveConfig:
     keep_pools: bool = False
 
     def __post_init__(self):
-        if self.eps_opt <= 0:
+        if not self.eps_opt > 0:  # NaN too
             raise ValueError("eps_opt must be positive")
+        if not self.eps_vio >= 0:
+            raise ValueError("eps_vio must be >= 0")
         if self.p_init is not None and self.p_init < 0:
             raise ValueError("p_init must be >= 0")
         if self.p_max is not None and self.p_max < 0:

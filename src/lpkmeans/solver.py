@@ -64,61 +64,32 @@ class LpSolution:
 def safe_lower_bound(lp: LpStandardForm, sol: LpSolution) -> float:
     """y.b - r.ub with r = max(A^T y + Q^T z - c, 0); valid for any y, z <= 0."""
     z = np.minimum(sol.z, 0.0)
-    grad = lp.a_eq.T @ sol.y
-    if lp.q.shape[0]:
-        grad = grad + lp.q.T @ z
+    grad = lp.a_eq.T @ sol.y + lp.q.T @ z  # no cut rows: + 0.0, exact
     r = np.maximum(grad - lp.c, 0.0)
     return float(sol.y @ lp.b_eq - r @ lp.ub)
 
 
-def _ruiz_and_pock_chambolle(k: sp.csr_matrix, ruiz_iters: int = 8,
-                             alpha: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal equilibration of ``k`` in place: ``k`` becomes
-    diag(dr) @ K @ diag(dc), its explicit zeros dropped, and (dr, dc) are
-    returned.
-
-    Row reductions are ``reduceat`` over the non-empty rows and column
-    reductions are ``at`` in storage order, as scipy's own sparse
-    ``max``/``sum`` compute them, so the result is bit for bit that of the
-    sparse diagonal products.  The Ruiz passes end early at their fixed
-    point, a pass whose row and column factors are all exactly 1.0."""
+def _pock_chambolle(k: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Pock-Chambolle equilibration (alpha = 1) of ``k`` in place, its explicit
+    zeros dropped: K becomes diag(dr) K diag(dc), dr and dc one over the
+    fourth roots of the row and column sums of |K|, and (dr, dc) is returned.
+    The sums run as scipy's sparse ``sum`` runs them (``reduceat`` over the
+    non-empty rows, ``at`` in storage order), bit for bit the diagonal
+    products.  PDLP's Ruiz passes would scale every LP built here by ones."""
     m, nv = k.shape
-    dr = np.ones(m)
-    dc = np.ones(nv)
     k.eliminate_zeros()  # as the diagonal products would
-    starts = k.indptr[:-1]
+    absk = np.abs(k.data)
     nonempty = np.diff(k.indptr) > 0
-    rows = np.repeat(np.arange(m, dtype=np.int32), np.diff(k.indptr))
-
-    def rescale(op, row_vals, col_vals, root):
-        row_red = np.zeros(m)
-        row_red[nonempty] = op.reduceat(row_vals, starts[nonempty])
-        col_red = np.zeros(nv)
-        op.at(col_red, k.indices, col_vals)
-        rs = 1.0 / root(np.maximum(row_red, _EPS))
-        cs = 1.0 / root(np.maximum(col_red, _EPS))
-        rs[row_red <= _EPS] = 1.0
-        cs[col_red <= _EPS] = 1.0
-        if (rs == 1.0).all() and (cs == 1.0).all():
-            return True  # scaling by ones would change nothing
-        np.multiply(k.data, rs[rows], out=k.data)
-        np.multiply(k.data, cs[k.indices], out=k.data)
-        np.multiply(dr, rs, out=dr)
-        np.multiply(dc, cs, out=dc)
-        return False
-
-    for _ in range(ruiz_iters):
-        absk = np.abs(k.data)
-        # all factors 1.0 leave K, dr and dc as they were, so every later
-        # pass would compute the same ones (every LP built here has +-1
-        # entries and stops after its first pass)
-        if rescale(np.maximum, absk, absk, np.sqrt):
-            break
-    if alpha > 0:
-        absk = np.abs(k.data)
-        # x**1.0 == x, so alpha = 1 sums |K| itself
-        row_vals, col_vals = (absk, absk) if alpha == 1.0 else (absk**alpha, absk ** (2.0 - alpha))
-        rescale(np.add, row_vals, col_vals, lambda v: np.sqrt(np.sqrt(v)))
+    row_sum = np.zeros(m)
+    row_sum[nonempty] = np.add.reduceat(absk, k.indptr[:-1][nonempty])
+    col_sum = np.zeros(nv)
+    np.add.at(col_sum, k.indices, absk)
+    dr = 1.0 / np.sqrt(np.sqrt(np.maximum(row_sum, _EPS)))
+    dc = 1.0 / np.sqrt(np.sqrt(np.maximum(col_sum, _EPS)))
+    dr[row_sum <= _EPS] = 1.0
+    dc[col_sum <= _EPS] = 1.0
+    np.multiply(k.data, np.repeat(dr, np.diff(k.indptr)), out=k.data)
+    np.multiply(k.data, dc[k.indices], out=k.data)
     return dr, dc
 
 
@@ -152,14 +123,11 @@ def solve(
     # internal >=-form: rows [A; -Q], rhs [b; 0], duals free / >= 0.  The
     # solve holds one copy of K, its own, equilibrated in place; its CSR
     # arrays are the CSC arrays of K^T, so no transpose is built.
-    if mi:
-        k_s = sp.vstack([lp.a_eq, lp.q], format="csr")
-        np.negative(k_s.data[k_s.indptr[me]:], out=k_s.data[k_s.indptr[me]:])
-    else:
-        k_s = lp.a_eq.tocsr(copy=True)
+    k_s = sp.vstack([lp.a_eq, lp.q], format="csr")
+    np.negative(k_s.data[k_s.indptr[me]:], out=k_s.data[k_s.indptr[me]:])
     q_rhs = np.concatenate([lp.b_eq, np.zeros(mi)])
 
-    dr, dc = _ruiz_and_pock_chambolle(k_s)
+    dr, dc = _pock_chambolle(k_s)
     c_s = lp.c * dc
     q_s = q_rhs * dr
     lb_s = lp.lb / dc

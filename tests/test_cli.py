@@ -167,6 +167,70 @@ def test_solve_rejects_a_non_positive_lp_time_limit(tmp_path, capsys, monkeypatc
     assert code in (0, 2) and json.loads(out)["config"]["lp_time_limit"] == 5.0
 
 
+def _usage_error(capsys, *args) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and not out and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("eps", ["0", "-1e-4", "nan", "x"])
+def test_solve_rejects_a_non_positive_eps_opt(tmp_path, capsys, monkeypatch, eps):
+    # NaN would end a solve with the gap closed and exit 2 as not optimal
+    pts = tmp_path / "p.csv"
+    pts.write_text("0,0\n4,0\n0,4\n4,4\n")
+    err = _usage_error(capsys, "solve", "--input", str(pts), "--k", "2", f"--eps-opt={eps}")
+    assert f"argument --eps-opt: must be a positive number, got '{eps}'" in err
+    monkeypatch.setenv("LPKMEANS_EPS_OPT", eps)
+    assert "--eps-opt" in _usage_error(capsys, "solve", "--input", str(pts), "--k", "2")
+
+
+@pytest.mark.parametrize("eps", ["-1", "-inf", "nan", "x"])
+def test_solve_rejects_a_negative_eps_vio(tmp_path, capsys, monkeypatch, eps):
+    # a negative tolerance would add cuts that are not violated
+    pts = tmp_path / "p.csv"
+    pts.write_text("0,0\n4,0\n0,4\n4,4\n")
+    err = _usage_error(capsys, "solve", "--input", str(pts), "--k", "2", f"--eps-vio={eps}")
+    assert f"argument --eps-vio: must be a non-negative number, got '{eps}'" in err
+    monkeypatch.setenv("LPKMEANS_EPS_VIO", eps)
+    assert "--eps-vio" in _usage_error(capsys, "solve", "--input", str(pts), "--k", "2")
+    code, out, _ = run_cli(capsys, "solve", "--input", str(pts), "--k", "2", "--eps-vio", "0")
+    assert code == 0 and json.loads(out)["config"]["eps_vio"] == 0.0
+
+
+@pytest.mark.parametrize("step", ["0", "-0.1", "nan", "x"])
+def test_recovery_sweep_rejects_a_non_positive_delta_step(capsys, step):
+    # 0 divided by zero inside np.arange and NaN had no grid length
+    err = _usage_error(capsys, "recovery-sweep", "--delta-min", "2", "--delta-max", "3",
+                       f"--delta-step={step}", "--trials", "1", "--n", "20", "--m", "2")
+    assert f"argument --delta-step: must be a positive number, got '{step}'" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-2", "1.5"])
+def test_recovery_sweep_rejects_a_non_positive_trial_count(capsys, trials):
+    err = _usage_error(capsys, "recovery-sweep", "--delta-min", "3", "--delta-max", "3",
+                       f"--trials={trials}", "--n", "20")
+    assert f"argument --trials: must be a positive integer, got '{trials}'" in err
+
+
+@pytest.mark.parametrize(("flag", "value", "what"), [
+    ("--tol", "0", "number"), ("--tol", "-1e-8", "number"), ("--tol", "nan", "number"),
+    ("--max-iters", "0", "integer"), ("--max-iters", "-5", "integer"),
+    ("--max-iters", "x", "integer"),
+])
+def test_lp_direct_rejects_a_non_positive_tolerance_or_budget(tmp_path, capsys, flag, value,
+                                                               what):
+    # a NaN tolerance ran the whole budget and 0 iterations still ran one
+    pts = tmp_path / "p.csv"
+    pts.write_text("0,0\n4,0\n0,4\n4,4\n")
+    err = _usage_error(capsys, "lp-direct", "--input", str(pts), "--k", "2", f"{flag}={value}")
+    assert f"argument {flag}: must be a positive {what}, got '{value}'" in err
+    code, out, _ = run_cli(capsys, "lp-direct", "--input", str(pts), "--k", "2",
+                           "--max-iters", "1")
+    assert code == 2 and json.loads(out)["iterations"] == 1
+
+
 def test_header_flag(tmp_path, capsys):
     pts = tmp_path / "h.csv"
     pts.write_text("x,y\n0,0\n1,0\n0,1\n")

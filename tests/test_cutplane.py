@@ -379,8 +379,13 @@ def test_solve_over_the_exhaustive_budget_ends_at_separation_limit():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolveConfig(k=2, eps_opt=0.0)
+    for eps in (0.0, -1e-4, float("nan")):
+        with pytest.raises(ValueError, match="eps_opt"):
+            SolveConfig(k=2, eps_opt=eps)
+    for eps in (-1e-6, -np.inf, float("nan")):
+        with pytest.raises(ValueError, match="eps_vio"):
+            SolveConfig(k=2, eps_vio=eps)
+    SolveConfig(k=2, eps_vio=0.0)
     with pytest.raises(ValueError, match="t_cap"):
         SolveConfig(k=2, t_cap=1)
     SolveConfig(k=3, t_cap=2)  # pair cuts only

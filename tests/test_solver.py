@@ -14,7 +14,7 @@ from lpkmeans.lp_model import LpStandardForm, all_cuts, build
 from lpkmeans.solver import (
     _EPS,
     LpSolution,
-    _ruiz_and_pock_chambolle,
+    _pock_chambolle,
     safe_lower_bound,
     solve,
 )
@@ -237,7 +237,7 @@ def test_iteration_limit_reported(five_point):
 def _cold_step(lp: LpStandardForm) -> float:
     """The step a cold solve starts from: 1 / max|K| on the scaled matrix."""
     k_s = sp.vstack([lp.a_eq, -lp.q], format="csr")
-    _ruiz_and_pock_chambolle(k_s)
+    _pock_chambolle(k_s)
     return 1.0 / np.abs(k_s.data).max()
 
 
@@ -282,36 +282,75 @@ def test_carried_primal_weight_clipped(five_point):
         assert sol.primal_weight == clipped
 
 
-def diag_product_equilibration(kmat, ruiz_iters=8, alpha=1.0):
-    """Ruiz and Pock-Chambolle scaling through sparse diagonal products and
-    scipy's sparse max/sum; the reference for the in-place kernel."""
-    m, nv = kmat.shape
+def diag_product_equilibration(kmat):
+    """The Pock-Chambolle pass through scipy's sparse sum and sparse diagonal
+    products; the reference for the in-place kernel."""
+    k = kmat.copy()
+    # explicit zeros would regroup numpy's pairwise row sums; the kernel
+    # drops them first, as the diagonal product below does
+    k.eliminate_zeros()
+    absk = abs(k)
+    row_sum = np.asarray(absk.sum(axis=1)).ravel()
+    col_sum = np.asarray(absk.sum(axis=0)).ravel()
+    rs = 1.0 / np.sqrt(np.sqrt(np.maximum(row_sum, _EPS)))
+    cs = 1.0 / np.sqrt(np.sqrt(np.maximum(col_sum, _EPS)))
+    rs[row_sum <= _EPS] = 1.0
+    cs[col_sum <= _EPS] = 1.0
+    return (sp.diags(rs) @ k @ sp.diags(cs)).tocsr(), rs, cs
+
+
+# PDLP's default equilibration, up to eight Ruiz passes and then one
+# Pock-Chambolle pass: the reference showing that the one pass alone is all
+# of it on every LP built here
+def ruiz_then_pock_chambolle(k: sp.csr_matrix, ruiz_iters: int = 8,
+                             alpha: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal equilibration of ``k`` in place: ``k`` becomes
+    diag(dr) @ K @ diag(dc), its explicit zeros dropped, and (dr, dc) are
+    returned.
+
+    Row reductions are ``reduceat`` over the non-empty rows and column
+    reductions are ``at`` in storage order, as scipy's own sparse
+    ``max``/``sum`` compute them, so the result is bit for bit that of the
+    sparse diagonal products.  The Ruiz passes end early at their fixed
+    point, a pass whose row and column factors are all exactly 1.0."""
+    m, nv = k.shape
     dr = np.ones(m)
     dc = np.ones(nv)
-    k = kmat.copy()
+    k.eliminate_zeros()  # as the diagonal products would
+    starts = k.indptr[:-1]
+    nonempty = np.diff(k.indptr) > 0
+    rows = np.repeat(np.arange(m, dtype=np.int32), np.diff(k.indptr))
+
+    def rescale(op, row_vals, col_vals, root):
+        row_red = np.zeros(m)
+        row_red[nonempty] = op.reduceat(row_vals, starts[nonempty])
+        col_red = np.zeros(nv)
+        op.at(col_red, k.indices, col_vals)
+        rs = 1.0 / root(np.maximum(row_red, _EPS))
+        cs = 1.0 / root(np.maximum(col_red, _EPS))
+        rs[row_red <= _EPS] = 1.0
+        cs[col_red <= _EPS] = 1.0
+        if (rs == 1.0).all() and (cs == 1.0).all():
+            return True  # scaling by ones would change nothing
+        np.multiply(k.data, rs[rows], out=k.data)
+        np.multiply(k.data, cs[k.indices], out=k.data)
+        np.multiply(dr, rs, out=dr)
+        np.multiply(dc, cs, out=dc)
+        return False
+
     for _ in range(ruiz_iters):
-        absk = abs(k)
-        row_max = absk.max(axis=1).toarray().ravel()
-        col_max = absk.max(axis=0).toarray().ravel()
-        rs = 1.0 / np.sqrt(np.maximum(row_max, _EPS))
-        cs = 1.0 / np.sqrt(np.maximum(col_max, _EPS))
-        rs[row_max <= _EPS] = 1.0
-        cs[col_max <= _EPS] = 1.0
-        k = sp.diags(rs) @ k @ sp.diags(cs)
-        dr *= rs
-        dc *= cs
+        absk = np.abs(k.data)
+        # all factors 1.0 leave K, dr and dc as they were, so every later
+        # pass would compute the same ones (every LP built here has +-1
+        # entries and stops after its first pass)
+        if rescale(np.maximum, absk, absk, np.sqrt):
+            break
     if alpha > 0:
-        absk = abs(k)
-        row_sum = np.asarray(absk.power(alpha).sum(axis=1)).ravel()
-        col_sum = np.asarray(absk.power(2.0 - alpha).sum(axis=0)).ravel()
-        rs = 1.0 / np.sqrt(np.sqrt(np.maximum(row_sum, _EPS)))
-        cs = 1.0 / np.sqrt(np.sqrt(np.maximum(col_sum, _EPS)))
-        rs[row_sum <= _EPS] = 1.0
-        cs[col_sum <= _EPS] = 1.0
-        k = sp.diags(rs) @ k @ sp.diags(cs)
-        dr *= rs
-        dc *= cs
-    return k.tocsr(), dr, dc
+        absk = np.abs(k.data)
+        # x**1.0 == x, so alpha = 1 sums |K| itself
+        row_vals, col_vals = (absk, absk) if alpha == 1.0 else (absk**alpha, absk ** (2.0 - alpha))
+        rescale(np.add, row_vals, col_vals, lambda v: np.sqrt(np.sqrt(v)))
+    return dr, dc
 
 
 @st.composite
@@ -319,9 +358,7 @@ def sparse_matrices(draw):
     """CSR matrices with mixed signs, magnitudes from 1e-14 (below the
     scaling's cutoff) to 1e6, explicit zeros, and empty rows and columns;
     or with small integer entries; or with +-1 entries, the form of every
-    LP built here, on which Ruiz scaling stops after its first pass; or
-    with row maxima 1 and some column maxima below 1, where the first pass
-    has row factors all 1 but not column factors."""
+    LP built here; or with row maxima 1 and column maxima below 1."""
     m, nv = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mask = rng.random((m, nv)) < draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
@@ -344,18 +381,47 @@ def sparse_matrices(draw):
     return sp.csr_matrix((vals, (rows, cols)), shape=(m, nv))
 
 
-# At least one Ruiz pass: the reference's first diagonal product drops the
-# explicit zeros, which would otherwise regroup numpy's pairwise row sums.
 @settings(max_examples=150, deadline=None)
-@given(sparse_matrices(), st.sampled_from([1, 2, 8]), st.sampled_from([0.5, 1.0]))
-def test_equilibration_bit_identical_to_diag_products(kmat, ruiz_iters, alpha):
+@given(sparse_matrices())
+def test_equilibration_bit_identical_to_diag_products(kmat):
     # the kernel scales its argument in place, so it gets a copy
     got = kmat.copy()
-    dr, dc = _ruiz_and_pock_chambolle(got, ruiz_iters, alpha)
-    ref, ref_dr, ref_dc = diag_product_equilibration(kmat, ruiz_iters, alpha)
+    dr, dc = _pock_chambolle(got)
+    ref, ref_dr, ref_dc = diag_product_equilibration(kmat)
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, name), getattr(ref, name))
     assert np.array_equal(dr, ref_dr) and np.array_equal(dc, ref_dc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 8),
+    st.sampled_from([2, 3, 4]),
+    st.sampled_from([2, 3]),
+    st.sampled_from(["none", "some", "all"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_one_pass_equals_ruiz_then_pock_chambolle_on_built_lps(n, k, t, cuts, seed):
+    # every LP built here has +-1 entries, so the Ruiz passes scale by ones
+    # and the one Pock-Chambolle pass is the whole of PDLP's equilibration
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    pool = all_cuts(n, t)
+    if cuts == "some":
+        pool = pool.take(np.sort(rng.choice(len(pool), len(pool) // 3, replace=False)))
+    elif cuts == "none":
+        pool = pool[:0]
+    lp = build(squared_distances(random_points(rng, n, 2)), k, pool)
+    # stacked and negated as solve() does it
+    k_s = sp.vstack([lp.a_eq, lp.q], format="csr")
+    cut_data = k_s.data[k_s.indptr[lp.a_eq.shape[0]]:]
+    np.negative(cut_data, out=cut_data)
+    ref = k_s.copy()
+    dr, dc = _pock_chambolle(k_s)
+    ref_dr, ref_dc = ruiz_then_pock_chambolle(ref)
+    for name in ("data", "indices", "indptr"):
+        assert _same_bits(getattr(k_s, name), getattr(ref, name)), name
+    assert _same_bits(dr, ref_dr) and _same_bits(dc, ref_dc)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +461,7 @@ def reference_solve(lp, tol=1e-8, time_limit=None, max_iters=400_000, warm=None,
         k_s = lp.a_eq.copy()
     q_rhs = np.concatenate([lp.b_eq, np.zeros(mi)])
     if scaling:
-        dr, dc = _ruiz_and_pock_chambolle(k_s)
+        dr, dc = _pock_chambolle(k_s)
     else:
         dr, dc = np.ones(me + mi), np.ones(nv)
     k_s_t = k_s.T.tocsr()
