@@ -15,7 +15,6 @@ from lpkmeans.core import (
     is_partition_matrix,
     kmeans_cost,
     lp_objective,
-    partition_matrix,
     squared_distances,
     unpack_matrix,
 )
@@ -49,7 +48,7 @@ class SolveConfig:
     k: int
     eps_opt: float = 1e-4
     eps_vio: float = 1e-6
-    p_init: int | None = None  # default max(10 n, 2 n^2), see resolved()
+    p_init: int | None = None  # default 2 n^2, see resolved()
     p_max: int | None = None  # default 5 n
     lp_time_limit: float | None = None
     t_cap: int | None = None  # largest |S| ever separated (default: K)
@@ -78,7 +77,7 @@ class SolveConfig:
         # basis needs ~n^2/2 active rows), so the loop would grind through
         # dozens of separation rounds; 2 n^2 sampled tight cuts give one- to
         # few-round convergence
-        p_init = self.p_init if self.p_init is not None else max(10 * n, 2 * n * n)
+        p_init = self.p_init if self.p_init is not None else 2 * n * n
         p_max = self.p_max if self.p_max is not None else 5 * n
         # fewer violated cuts than n / 10 escalate the set size
         return p_init, p_max, max(1, n // 10)
@@ -165,7 +164,7 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
 
     lloyd_cfg = LloydConfig(seed=cfg.seed)
     incumbent = kmeanspp_lloyd(points, k, lloyd_cfg)
-    pool = active_cuts(partition_matrix(incumbent[0]), cap=p_init, seed=cfg.seed)
+    pool = active_cuts(incumbent[0], cap=p_init, seed=cfg.seed)
     trace.time_init = time.monotonic() - t_begin
 
     f_lb = 0.0  # c >= 0 and x >= 0, so 0 is a valid bound

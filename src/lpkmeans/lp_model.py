@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from lpkmeans.core import packed_diag_indices, packed_index, packed_len
+from lpkmeans.core import Partition, packed_diag_indices, packed_index, packed_len
 
 # scipy.sparse is imported where a sparse matrix is first built, so that the
 # certify pipeline, which builds none, never loads it
@@ -228,50 +228,35 @@ def _sample_without_replacement(rng: np.random.Generator, total: int, size: int)
     return np.array(sorted(chosen), dtype=np.int64)
 
 
-def active_cuts(
-    x: np.ndarray, eps_act: float = 1e-9, cap: int | None = None, seed: int = 0
-) -> CutPool:
-    """Pair cuts (|S| = 2) whose slack at X is within eps_act of zero.
-
-    When more than ``cap`` cuts are tight, a uniform sample without
-    replacement is drawn under ``seed``.  The cuts are scanned in two passes
-    so the full tight set never needs to be materialized.
-    """
-    n = x.shape[0]
+def active_cuts(p: Partition, cap: int | None = None, seed: int = 0) -> CutPool:
+    """Pair cuts (|S| = 2) tight at the partition matrix of ``p``, in (i, S)
+    order: (i, {j, k}) with j or k in i's cluster, as every other slack is at
+    most -1/n, so C(n-1, 2) - C(n - |C_i|, 2) at anchor i.  When more than
+    ``cap`` are tight, a uniform sample without replacement is drawn under
+    ``seed``."""
+    n = p.n
     ju, ku = np.triu_indices(n, 1)
-
-    def tight_flat(i: int) -> np.ndarray:
-        w = x[i, ju] + x[i, ku] - x[i, i] - x[ju, ku]
-        ok = (np.abs(w) <= eps_act) & (ju != i) & (ku != i)
-        return np.flatnonzero(ok)
-
-    counts = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        counts[i] = tight_flat(i).size
+    outside = n - p.sizes[p.assign]  # points outside each anchor's cluster
+    counts = (n - 1) * (n - 2) // 2 - outside * (outside - 1) // 2
     total = int(counts.sum())
 
-    selected: np.ndarray | None = None
+    selected = None
     if cap is not None and total > cap:
-        rng = np.random.Generator(np.random.Philox(seed))
-        selected = _sample_without_replacement(rng, total, cap)
-
+        selected = _sample_without_replacement(np.random.Generator(np.random.Philox(seed)), total, cap)
     offsets = np.concatenate([[0], np.cumsum(counts)])
+    anchors = np.flatnonzero(counts)
     taken = []
-    for i in range(n):
-        if counts[i] == 0:
-            continue
-        flat = tight_flat(i)
-        if selected is None:
-            taken.append(flat)
-        else:
-            lo = np.searchsorted(selected, offsets[i])
-            hi = np.searchsorted(selected, offsets[i + 1])
-            taken.append(flat[selected[lo:hi] - offsets[i]])
+    for i in anchors:
+        same = p.assign == p.assign[i]
+        flat = np.flatnonzero((same[ju] | same[ku]) & (ju != i) & (ku != i))
+        if selected is not None:
+            lo, hi = np.searchsorted(selected, offsets[i : i + 2])
+            flat = flat[selected[lo:hi] - offsets[i]]
+        taken.append(flat)
     if not taken:
         return CutPool()
     flat = np.concatenate(taken)
-    anchors = np.repeat(np.flatnonzero(counts), [f.size for f in taken])
-    return CutPool(anchors, np.stack([ju[flat], ku[flat]], axis=1))
+    return CutPool(np.repeat(anchors, [f.size for f in taken]), np.stack([ju[flat], ku[flat]], axis=1))
 
 
 def all_cuts(n: int, t: int) -> CutPool:

@@ -28,7 +28,7 @@ def test_facet_inequality_canonicalization():
     x = 0.5 * (a + a.T)
     pools = [
         all_cuts(6, 4),
-        active_cuts(partition_matrix(random_partition(rng, 9, 3))),
+        active_cuts(random_partition(rng, 9, 3)),
         separate_greedy(x, 4).cuts,
         separate_exhaustive(x, 3).cuts,
     ]
@@ -155,14 +155,85 @@ def test_objective_consistency_random_matrices():
 # ---------------------------------------------------------------------------
 
 
+def reference_active_cuts(
+    x: np.ndarray, eps_act: float = 1e-9, cap: int | None = None, seed: int = 0
+) -> CutPool:
+    """Pair cuts (|S| = 2) whose slack at X is within eps_act of zero.
+
+    When more than ``cap`` cuts are tight, a uniform sample without
+    replacement is drawn under ``seed``.  The cuts are scanned in two passes
+    so the full tight set never needs to be materialized.
+    """
+    n = x.shape[0]
+    ju, ku = np.triu_indices(n, 1)
+
+    def tight_flat(i: int) -> np.ndarray:
+        w = x[i, ju] + x[i, ku] - x[i, i] - x[ju, ku]
+        ok = (np.abs(w) <= eps_act) & (ju != i) & (ku != i)
+        return np.flatnonzero(ok)
+
+    counts = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        counts[i] = tight_flat(i).size
+    total = int(counts.sum())
+
+    selected: np.ndarray | None = None
+    if cap is not None and total > cap:
+        rng = np.random.Generator(np.random.Philox(seed))
+        selected = _sample_without_replacement(rng, total, cap)
+
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    taken = []
+    for i in range(n):
+        if counts[i] == 0:
+            continue
+        flat = tight_flat(i)
+        if selected is None:
+            taken.append(flat)
+        else:
+            lo = np.searchsorted(selected, offsets[i])
+            hi = np.searchsorted(selected, offsets[i + 1])
+            taken.append(flat[selected[lo:hi] - offsets[i]])
+    if not taken:
+        return CutPool()
+    flat = np.concatenate(taken)
+    anchors = np.repeat(np.flatnonzero(counts), [f.size for f in taken])
+    return CutPool(anchors, np.stack([ju[flat], ku[flat]], axis=1))
+
+
+@st.composite
+def partitions_and_caps(draw):
+    """A partition of n = 2..40 points into K = 1..n clusters, and a cap: none,
+    0, small, up to 2 n^2, or at least the number of tight pair cuts."""
+    n = draw(st.integers(2, 40))
+    k = draw(st.integers(1, n))
+    labels = list(range(k)) + draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    p = Partition(k, np.array(draw(st.permutations(labels))))
+    tight = len(reference_active_cuts(partition_matrix(p)))
+    cap = draw(st.one_of(
+        st.none(), st.just(0), st.integers(1, 5), st.integers(0, 2 * n * n),
+        st.integers(tight, tight + 10),
+    ))
+    return p, cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(partitions_and_caps(), st.integers(0, 2**64 - 1))
+def test_active_cuts_equal_the_numeric_scan(instance, seed):
+    p, cap = instance
+    got = active_cuts(p, cap=cap, seed=seed)
+    ref = reference_active_cuts(partition_matrix(p), cap=cap, seed=seed)
+    for a, b in ((got.i, ref.i), (got.s, ref.s)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
 def test_active_cuts_identity_empty():
-    x = np.eye(5)
-    assert len(active_cuts(x)) == 0
+    assert len(active_cuts(Partition(5, np.arange(5)))) == 0
 
 
 def test_active_cuts_single_cluster_all_tight():
-    x = np.full((3, 3), 1 / 3)
-    pool = active_cuts(x)
+    pool = active_cuts(Partition(1, np.zeros(3, dtype=int)))
     assert len(pool) == 3
     assert set(cut_rows(pool)) == {(0, (1, 2)), (1, (0, 2)), (2, (0, 1))}
 
@@ -170,7 +241,7 @@ def test_active_cuts_single_cluster_all_tight():
 def test_active_cuts_five_point_frozen_tight_set(five_point):
     _, planted, _ = five_point
     x = partition_matrix(planted)
-    pool = active_cuts(x, eps_act=1e-9)
+    pool = active_cuts(planted)
     # independent enumeration of all 30 pair cuts
     expected = set()
     for i in range(5):
@@ -185,11 +256,10 @@ def test_active_cuts_five_point_frozen_tight_set(five_point):
 def test_active_cuts_sampling_deterministic_and_capped():
     rng = np.random.default_rng(24)
     p = random_partition(rng, 30, 3)
-    x = partition_matrix(p)
-    full = active_cuts(x)
-    capped_a = active_cuts(x, cap=25, seed=99)
-    capped_b = active_cuts(x, cap=25, seed=99)
-    capped_c = active_cuts(x, cap=25, seed=100)
+    full = active_cuts(p)
+    capped_a = active_cuts(p, cap=25, seed=99)
+    capped_b = active_cuts(p, cap=25, seed=99)
+    capped_c = active_cuts(p, cap=25, seed=100)
     assert len(capped_a) == 25
     assert capped_a == capped_b
     assert capped_a != capped_c
