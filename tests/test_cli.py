@@ -369,6 +369,23 @@ def test_lp_direct_five_point(tmp_path, capsys):
     assert doc["matvecs"] >= 2 * (doc["iterations"] + doc["rejected_steps"])
 
 
+def test_bounds_hold_under_rounding_at_k_equals_n(tmp_path, capsys):
+    # y.b and r.ub cancel where the optimum is 0; both bounds once came out
+    # positive (2.8e-14 and 4.5e-13)
+    kn = tmp_path / "kn.csv"
+    np.savetxt(kn, np.random.default_rng(1).normal(size=(6, 2)), delimiter=",", fmt="%.17g")
+    code, out, _ = run_cli(capsys, "solve", "--input", str(kn), "--k", "6")
+    doc = json.loads(out)
+    assert code == 0 and doc["f_lb"] == 0.0 <= doc["f_ub"]
+
+    pts = tmp_path / "s20.csv"
+    run_cli(capsys, "generate", "--model", "ssm", "--n", "20", "--m", "2", "--delta", "3",
+            "--seed", "1", "--out", str(pts))
+    code, out, _ = run_cli(capsys, "lp-direct", "--input", str(pts), "--k", "20")
+    doc = json.loads(out)
+    assert code == 0 and doc["safe_lower_bound"] <= 0.0
+
+
 def test_mix_seed_spread():
     seeds = {mix_seed(123, i) for i in range(1000)}
     assert len(seeds) == 1000

@@ -95,6 +95,19 @@ def test_singletons_one_round_tight():
     assert p.sizes.tolist() == [1, 1, 1, 1]
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(3, 8), st.integers(0, 2**32 - 1))
+@example(6, 1)  # y.b - r.ub once read 2.8e-14 here, above f_ub = 0
+def test_k_equals_n_bounds_hold_under_rounding(n, seed):
+    # the optimum is 0 and the duals' y.b and r.ub cancel: no safe bound
+    # may come out positive
+    points = PointSet(np.random.default_rng(seed).normal(size=(n, 2)))
+    _, trace, tight = solve_kmeans_lp(points, SolveConfig(k=n))
+    assert tight and trace.status == "converged"
+    assert trace.f_lb == 0.0 <= trace.f_ub
+    assert all(r.safe_bound <= 0.0 for r in trace.rounds)
+
+
 def test_monotone_traces_and_tightness(five_point):
     points, _, _ = five_point
     _, trace, _ = solve_kmeans_lp(points, SolveConfig(k=2, seed=3))

@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,6 +178,57 @@ def test_safe_bound_below_partition_costs():
         for _ in range(5):
             xp = pack_matrix(partition_matrix(random_partition(rng, 8, 2)))
             assert bound <= float(lp.c @ xp) + 1e-9
+
+
+def exact_dual_value(lp: LpStandardForm, sol: LpSolution) -> Fraction:
+    """y.b - r.ub with r = max(A^T y + Q^T z - c, 0) and z clamped to <= 0,
+    in exact rational arithmetic: a lower bound on the LP optimum for any
+    duals, so no safe bound may exceed it."""
+    y = [Fraction(v) for v in sol.y.tolist()]
+    z = [Fraction(min(v, 0.0)) for v in sol.z.tolist()]
+    grad = [-Fraction(v) for v in lp.c.tolist()]
+    for mat, dual in ((lp.a_eq.tocoo(), y), (lp.q.tocoo(), z)):
+        for row, col, v in zip(mat.row.tolist(), mat.col.tolist(), mat.data.tolist()):
+            grad[col] += Fraction(v) * dual[row]
+    value = sum(yi * Fraction(b) for yi, b in zip(y, lp.b_eq.tolist()))
+    return value - sum(max(g, 0) * Fraction(u) for g, u in zip(grad, lp.ub.tolist()))
+
+
+@st.composite
+def built_lps_with_duals(draw):
+    """A built LP (n 3-7, K 2..n, often K = n, a random share of the pair and
+    triple cuts) and duals: a PDHG solution at a random tolerance, that
+    solution nudged by a few ulps, or random ones on a random scale.  At
+    K = n the optimum is 0, so the solved duals' y.b and r.ub cancel."""
+    n = draw(st.integers(3, 7))
+    k = draw(st.one_of(st.just(n), st.integers(2, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = random_points(rng, n, 2, scale=10.0 ** draw(st.integers(-3, 3)))
+    cuts = all_cuts(n, min(3, k))
+    lp = build(squared_distances(pts), k, cuts.take(rng.random(len(cuts)) < draw(st.sampled_from([0.0, 0.3, 1.0]))))
+    kind = draw(st.sampled_from(["solved", "nudged", "random"]))
+    if kind == "random":
+        scale = 10.0 ** draw(st.integers(-3, 6))
+        y = scale * rng.normal(size=lp.a_eq.shape[0])
+        z = -scale * np.abs(rng.normal(size=lp.q.shape[0]))
+    else:
+        sol = solve(lp, tol=10.0 ** -draw(st.integers(1, 10)))
+        y, z = sol.y, sol.z
+        if kind == "nudged":
+            y = y * (1.0 + 4e-16 * rng.integers(-4, 5, size=y.size))
+            z = z * (1.0 + 4e-16 * rng.integers(-4, 5, size=z.size))
+    return lp, LpSolution(
+        x=np.zeros(lp.n_vars), y=y, z=z, primal_residual=0, gap=0, status="optimal_to_tol",
+        iterations=0, objective=0.0, step=1.0, primal_weight=1.0, rejected_steps=0,
+        restarts=0, matvecs=0,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(built_lps_with_duals())
+def test_safe_bound_never_exceeds_the_exact_dual_value(instance):
+    lp, sol = instance
+    assert Fraction(safe_lower_bound(lp, sol)) <= exact_dual_value(lp, sol)
 
 
 def test_objective_monotone_under_cut_addition():
