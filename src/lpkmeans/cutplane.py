@@ -54,7 +54,6 @@ class SolveConfig:
     t_cap: int | None = None  # largest |S| ever separated (default: K)
     seed: int = 0
     max_rounds: int = 200
-    keep_pools: bool = False
 
     def __post_init__(self):
         if not self.eps_opt > 0:  # NaN too
@@ -102,8 +101,6 @@ class RoundRecord:
     time_solve: float
     time_round: float
     time_separate: float
-    pool_snapshot: CutPool | None = None
-    solution: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -222,8 +219,6 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
             time_solve=time_solve,
             time_round=time_round,
             time_separate=0.0,
-            pool_snapshot=CutPool(pool.i.copy(), pool.s.copy()) if cfg.keep_pools else None,
-            solution=(sol.x, sol.y, sol.z) if cfg.keep_pools else None,
         )
         trace.rounds.append(record)
 

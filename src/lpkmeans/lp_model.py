@@ -130,8 +130,8 @@ class LpStandardForm:
 
     Variables are the packed upper triangle (diagonal included) of the
     symmetric decision matrix; off-diagonal objective coefficients are doubled
-    so c.x equals the full double-sum objective.  Row r of q is cut r of
-    ``cuts``.
+    so c.x equals the full double-sum objective.  Row r of q is cut r of the
+    pool it was built from.
     """
 
     c: np.ndarray
@@ -140,9 +140,6 @@ class LpStandardForm:
     q: sp.csr_matrix
     lb: np.ndarray
     ub: np.ndarray
-    n_points: int
-    k: int
-    cuts: CutPool
 
     @property
     def n_vars(self) -> int:
@@ -172,8 +169,7 @@ def _equality_form(d: np.ndarray, k: int) -> LpStandardForm:
     a_eq.sort_indices()
     b_eq = np.concatenate([[float(k)], np.ones(n)])
     return LpStandardForm(
-        c=c, a_eq=a_eq, b_eq=b_eq, q=sp.csr_matrix((0, nv)), lb=np.zeros(nv), ub=np.ones(nv),
-        n_points=n, k=k, cuts=CutPool(),
+        c=c, a_eq=a_eq, b_eq=b_eq, q=sp.csr_matrix((0, nv)), lb=np.zeros(nv), ub=np.ones(nv)
     )
 
 
@@ -214,7 +210,7 @@ def build(d: np.ndarray, k: int, pool: CutPool, base: LpStandardForm | None = No
     """
     if base is None:
         base = _equality_form(d, k)
-    return dataclasses.replace(base, q=_cut_rows(pool, base.n_points), cuts=pool)
+    return dataclasses.replace(base, q=_cut_rows(pool, d.shape[0]))
 
 
 def _sample_without_replacement(rng: np.random.Generator, total: int, size: int) -> np.ndarray:

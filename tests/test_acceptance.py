@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import lpkmeans.cutplane
 from lpkmeans.certify import certify, gamma_values
 from lpkmeans.core import (
     Partition,
@@ -39,7 +40,7 @@ F_KMEANS = 146.0 / 72.0
 F_LP = 54.0 / 28.0
 
 # artifacts shared across criteria: audited LPs and reusable instances
-SHARED = {"audit_direct": [], "audit_traces": [], "small_instances": [], "traces": []}
+SHARED = {"audit_direct": [], "audit_rounds": [], "small_instances": [], "traces": []}
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -49,6 +50,19 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def _audit_direct(lp, sol) -> None:
     SHARED["audit_direct"].append((lp, sol, safe_lower_bound(lp, sol)))
+
+
+@pytest.fixture
+def audit_rounds(monkeypatch):
+    """Keeps (LP, solution, bound) of every safe bound a cutting-plane round
+    takes, for criterion 7."""
+
+    def recording(lp, sol):
+        bound = safe_lower_bound(lp, sol)
+        SHARED["audit_rounds"].append((lp, sol, bound))
+        return bound
+
+    monkeypatch.setattr(lpkmeans.cutplane, "safe_lower_bound", recording)
 
 
 def test_criterion_1_five_point_non_tightness():
@@ -95,7 +109,7 @@ def test_criterion_2_five_ball_non_tightness():
     _report(2, ok, f"{wins}/10 runs with LP below brute force, min margin {min_margin:.4f}, {elapsed:.1f}s")
 
 
-def test_criterion_3_cutting_plane_equals_full_lp():
+def test_criterion_3_cutting_plane_equals_full_lp(audit_rounds):
     t0 = time.monotonic()
     matches = 0
     worst = 0.0
@@ -106,9 +120,8 @@ def test_criterion_3_cutting_plane_equals_full_lp():
         model = "ssm" if trial % 3 else "sbm"
         delta = 2.0 + (trial % 4) * 0.5
         points, planted = generate(GenSpec(model, n=n, m=2, delta=delta, r1=1.0, seed=seed))
-        cfg = SolveConfig(k=k, eps_opt=1e-9, seed=seed, max_rounds=80, keep_pools=True)
+        cfg = SolveConfig(k=k, eps_opt=1e-9, seed=seed, max_rounds=80)
         _, trace, _ = solve_kmeans_lp(points, cfg)
-        SHARED["audit_traces"].append((points, k, trace))
 
         lp = build(squared_distances(points), k, all_cuts(n, k))
         ref = solve(lp, tol=1e-8)
@@ -123,15 +136,14 @@ def test_criterion_3_cutting_plane_equals_full_lp():
     _report(3, ok, f"{matches}/20 terminal bounds match the direct solve, worst rel err {worst:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_4_lp_tightness_favorable():
+def test_criterion_4_lp_tightness_favorable(audit_rounds):
     t0 = time.monotonic()
     wins = 0
     for trial in range(20):
         seed = mix_seed(20240404, trial)
         points, planted = generate(GenSpec("ssm", n=100, m=2, delta=3.0, r1=1.0, seed=seed))
-        cfg = SolveConfig(k=2, seed=seed, keep_pools=True)
+        cfg = SolveConfig(k=2, seed=seed)
         partition, trace, tight = solve_kmeans_lp(points, cfg)
-        SHARED["audit_traces"].append((points, 2, trace))
         SHARED["traces"].append(trace)
         wins += bool(tight and same_partition(partition.assign, planted.assign))
     elapsed = time.monotonic() - t0
@@ -190,7 +202,7 @@ def test_criterion_6_certify_soundness():
 def test_criterion_7_safe_bound_validity():
     # every LP solved above is re-solved to high accuracy; small ones are
     # additionally cross-checked against an independent simplex solver
-    if not SHARED["audit_direct"] and not SHARED["audit_traces"]:
+    if not SHARED["audit_direct"] and not SHARED["audit_rounds"]:
         points, _ = generate(GenSpec("five_point"))
         lp = build(squared_distances(points), 2, all_cuts(5, 2))
         for tol in (1e-1, 1e-3, 1e-8):
@@ -214,15 +226,10 @@ def test_criterion_7_safe_bound_validity():
         checked += 1
         valid += bound <= opt + 1e-9 * (1.0 + abs(opt))
 
-    for points, k, trace in SHARED["audit_traces"]:
-        d = squared_distances(points)
-        for rec in trace.rounds:
-            if rec.pool_snapshot is None:
-                continue
-            lp = build(d, k, rec.pool_snapshot)
-            ref = solve(lp, tol=1e-10, warm=rec.solution)
-            checked += 1
-            valid += rec.safe_bound <= ref.objective + 1e-9 * (1.0 + abs(ref.objective))
+    for lp, sol, bound in SHARED["audit_rounds"]:
+        ref = solve(lp, tol=1e-10, warm=(sol.x, sol.y, sol.z))
+        checked += 1
+        valid += bound <= ref.objective + 1e-9 * (1.0 + abs(ref.objective))
 
     ok = checked > 0 and valid == checked
     _report(7, ok, f"{valid}/{checked} safe lower bounds below the high-accuracy optimum")

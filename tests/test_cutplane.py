@@ -206,13 +206,21 @@ K3_MIXED = {
 K3_ASSIGN = [2, 2, 0, 0, 0, 2, 0, 1, 1, 2, 1, 1, 1, 1, 1, 2, 0, 2]
 
 
-def k3_mixed_solve():
+def k3_mixed_solve(monkeypatch):
+    pools = []  # the pool of every round's LP
+
+    def recording_build(d, k, pool, base=None):
+        pools.append(pool)
+        return build(d, k, pool, base=base)
+
+    monkeypatch.setattr(cutplane, "build", recording_build)
     points = PointSet(np.random.default_rng(110).uniform(size=(18, 2)))
-    cfg = SolveConfig(k=3, seed=10, keep_pools=True)
+    cfg = SolveConfig(k=3, seed=10)
     p, trace, tight = solve_kmeans_lp(points, cfg)
     assert trace.status == "converged" and tight
     assert p.assign.tolist() == K3_ASSIGN
-    mixed = [r for r in trace.rounds if {len(s) for _, s in cut_rows(r.pool_snapshot)} == {2, 3}]
+    assert [len(pool) for pool in pools] == [r.pool_size for r in trace.rounds]
+    mixed = [pool for pool in pools if {len(s) for _, s in cut_rows(pool)} == {2, 3}]
     assert len(mixed) >= 2
     assert trace.rounds[-1].t_max == 3
     assert_replays_schedule_rule(trace, cfg, cutplane._LP_TOL_START)
@@ -223,15 +231,15 @@ def k3_mixed_solve():
 def test_mixed_size_pool_k3_regression(case, monkeypatch):
     start, f_lb, f_ub = K3_MIXED[case]
     monkeypatch.setattr(cutplane, "_LP_TOL_START", start)
-    trace = k3_mixed_solve()
+    trace = k3_mixed_solve(monkeypatch)
     assert trace.f_lb == pytest.approx(f_lb, rel=1e-12)
     assert trace.f_ub == pytest.approx(f_ub, rel=1e-12)
 
 
-def test_mixed_size_pool_k3_default_config():
+def test_mixed_size_pool_k3_default_config(monkeypatch):
     # the default config's looser early rounds reach another safe bound
     # below the same f_ub
-    trace = k3_mixed_solve()
+    trace = k3_mixed_solve(monkeypatch)
     assert trace.f_ub == pytest.approx(K3_MIXED["escalate"][2], rel=1e-12)
     assert trace.f_lb <= trace.f_ub
 
@@ -362,13 +370,6 @@ def test_warm_starts_carry_step_and_primal_weight(monkeypatch):
     for (kwargs, _), (_, prev) in zip(calls[1:], calls):
         assert kwargs["warm"] is not None
         assert kwargs["step"] == prev.step and kwargs["primal_weight"] == prev.primal_weight
-
-
-def test_keep_pools_snapshots(five_point):
-    points, _, _ = five_point
-    _, trace, _ = solve_kmeans_lp(points, SolveConfig(k=2, seed=1, keep_pools=True))
-    assert all(r.pool_snapshot is not None for r in trace.rounds)
-    assert all(len(r.pool_snapshot) == r.pool_size for r in trace.rounds)
 
 
 def test_max_rounds_reported(five_point):

@@ -124,14 +124,15 @@ def test_build_incremental_consistency(five_point):
     _, _, d = five_point
     base = [(0, (1, 2)), (1, (2, 3))]
     extra = (2, (3, 4))
-    lp_incr = build(d, 2, cut_pool(base + [extra]))
-    lp_full = build(d, 2, cut_pool(base))
+    pool_incr, pool_full = cut_pool(base + [extra]), cut_pool(base)
+    lp_incr = build(d, 2, pool_incr)
+    lp_full = build(d, 2, pool_full)
     # appending the cut reproduces the row-for-row identical structure
     assert lp_incr.q.shape[0] == lp_full.q.shape[0] + 1
     a = lp_incr.q[:2].toarray()
     b = lp_full.q.toarray()
     assert np.array_equal(a, b)
-    assert lp_incr.cuts[:2] == lp_full.cuts
+    assert pool_incr[:2] == pool_full
 
 
 def test_objective_consistency_random_matrices():

@@ -37,9 +37,6 @@ def _manual_lp(c, a_eq, b_eq, q=None) -> LpStandardForm:
         q=qm,
         lb=np.zeros(nv),
         ub=np.ones(nv),
-        n_points=0,
-        k=0,
-        cuts=(),
     )
 
 
