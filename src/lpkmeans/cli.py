@@ -354,8 +354,10 @@ def cmd_recovery_sweep(args) -> int:
             seed = mix_seed(args.seed, di * args.trials + t)
             tasks.append((args.mode, args.model, args.n, args.m, args.r1, float(delta), seed))
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the fork start method launches every worker at once, so no more than the tasks
+    jobs = min(args.jobs, len(tasks))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_trial, tasks))
     else:
         results = [_sweep_trial(t) for t in tasks]

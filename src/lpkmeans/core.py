@@ -306,12 +306,14 @@ def kmeans_bruteforce(points: PointSet, k: int) -> tuple[Partition, float]:
     if k == 2:
         if n > _TWO_CLUSTER_MAX_N:
             raise ValueError(f"brute force for K=2 is limited to n <= {_TWO_CLUSTER_MAX_N}")
-        assign, cost = _bruteforce_two_clusters(d)
+        assign, _ = _bruteforce_two_clusters(d)
     else:
         if k ** (n - 1) > _GENERAL_MAX_LEAVES:
             raise ValueError(f"instance too large for brute force: K={k}, n={n}")
-        assign, cost = _bruteforce_general(d, k)
-    return Partition(k, assign), cost
+        assign, _ = _bruteforce_general(d, k)
+    # the enumerations' running sums drift; the cost is the partition's own
+    p = Partition(k, assign)
+    return p, kmeans_cost(points, p)
 
 
 def canonical_relabel(assign: np.ndarray) -> np.ndarray:

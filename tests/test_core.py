@@ -235,6 +235,18 @@ def test_bruteforce_singletons():
     assert cost == 0.0
 
 
+def test_bruteforce_reports_the_cost_of_its_partition():
+    # three copies of one point and three others: every K = 5 optimum costs
+    # 0, and the enumeration's running sums once reported -1.16e-10
+    a = [78.186324729742552, -54.584177511149456]
+    pts = PointSet(np.array([
+        a, a, [41.614665737346584, -155.75698694674583],
+        [-187.4250860073316, -49.733158087220332], [26.492152714025895, 135.31397003881588], a,
+    ]))
+    p, cost = kmeans_bruteforce(pts, 5)
+    assert cost == kmeans_cost(pts, p) == 0.0
+
+
 def test_bruteforce_five_ball_regression():
     # value computed by this oracle and frozen; bracketed by the
     # perturbation bounds around twice 146/72 for n'=2, r=1e-3
