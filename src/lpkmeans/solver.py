@@ -69,12 +69,13 @@ def _gamma(p: int) -> float:
 
 
 def safe_lower_bound(lp: LpStandardForm, sol: LpSolution) -> float:
-    """y.b - r.ub with r = max(A^T y + Q^T z - c, 0); valid for any y, z <= 0.
+    """y.b - r.ub - e with r = max(A^T y + Q^T z - c, 0); valid for any y, z <= 0.
 
-    The value is lowered by twice a bound on the rounding error of its own
-    evaluation (Neumaier & Shcherbina, Math. Programming 99, 2004), so it
-    holds as computed, also where y.b and r.ub cancel.  p is the largest
-    column count of [A; Q]."""
+    e = 2 [gamma_m |y|.|b| + gamma_nv r.ub + gamma_(p+2) (|A|^T |y| + |Q|^T |z|).ub]
+    bounds the rounding error of the evaluation (Neumaier & Shcherbina, Math.
+    Programming 99, 2004), m being the equality rows and p the largest column
+    count of [A; Q], so the bound holds as computed, also where y.b and r.ub
+    cancel."""
     y, z = sol.y, np.minimum(sol.z, 0.0)
     grad = lp.a_eq.T @ y + lp.q.T @ z  # no cut rows: + 0.0, exact
     r = np.maximum(grad - lp.c, 0.0)

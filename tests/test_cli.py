@@ -344,25 +344,6 @@ def test_recovery_sweep_certify_mode(tmp_path, capsys):
     assert rates[1] >= rates[0]  # more separation cannot hurt
 
 
-class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records the pool size it was asked
-    for and runs the tasks in this process."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        RecordingExecutor.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-
 @pytest.mark.parametrize(
     "delta_max, trials, jobs, pool_size",
     [(3, 1, 64, None), (3, 3, 64, 3), (4, 2, 2, 2), (3, 2, 1, None)],
@@ -370,7 +351,23 @@ class RecordingExecutor:
 )
 def test_recovery_sweep_pool_never_outnumbers_its_tasks(capsys, monkeypatch, delta_max, trials,
                                                        jobs, pool_size):
-    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    sizes = []
+
+    class RecordingExecutor:
+        """Records the pool size asked for and runs the tasks in process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
     monkeypatch.setattr(lpkmeans.cli, "ProcessPoolExecutor", RecordingExecutor)
     code, out, _ = run_cli(
         capsys, "recovery-sweep", "--delta-min", "3", "--delta-max", str(delta_max),
@@ -378,7 +375,7 @@ def test_recovery_sweep_pool_never_outnumbers_its_tasks(capsys, monkeypatch, del
         "--mode", "proximity", "--model", "sbm", "--jobs", str(jobs),
     )
     assert code == 0
-    assert RecordingExecutor.sizes == ([] if pool_size is None else [pool_size])
+    assert sizes == ([] if pool_size is None else [pool_size])
     rows = [l for l in out.splitlines() if not l.startswith("#")]
     assert len(rows) == delta_max - 2
 
