@@ -206,9 +206,11 @@ def cmd_solve(args) -> int:
         "timings": {
             "init": trace.time_init,
             "total": trace.total_time,
+            "build": sum(r.time_build for r in trace.rounds),
             "solve": sum(r.time_solve for r in trace.rounds),
             "round": sum(r.time_round for r in trace.rounds),
             "separate": sum(r.time_separate for r in trace.rounds),
+            "drop": sum(r.time_drop for r in trace.rounds),
         },
         "config": {
             "eps_opt": cfg.eps_opt,

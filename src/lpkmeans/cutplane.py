@@ -25,7 +25,7 @@ from lpkmeans.heuristics import (
     round_lp_solution,
     upper_bound_update,
 )
-from lpkmeans.lp_model import CutPool, active_cuts, build
+from lpkmeans.lp_model import active_cuts, build
 from lpkmeans.separation import SeparationLimit, separate_exhaustive, separate_greedy
 from lpkmeans.solver import safe_lower_bound, solve
 
@@ -98,9 +98,11 @@ class RoundRecord:
     cuts_added: int
     violated_found: int
     exhaustive: bool
+    time_build: float  # LP assembly: the new cut rows; in round 1 all of it
     time_solve: float
     time_round: float
     time_separate: float
+    time_drop: float  # cut aging, the pool merge and the dual remap
 
 
 @dataclass
@@ -131,16 +133,17 @@ def gap(f_ub: float, f_lb: float, tol: float = 1e-12) -> float:
 
 
 def _age_cuts(
-    pool: CutPool, x_lb: np.ndarray, eps_act: float, ages: np.ndarray, patience: int
+    w: np.ndarray, eps_act: float, ages: np.ndarray, patience: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Age-based removal: a cut leaves the pool once it has been slack at the
     solution of ``patience`` consecutive rounds.  Immediate removal (patience
     one, the textbook rule) can cycle between vertex pools of equal value.
 
-    ``ages`` counts the consecutive slack rounds of every pool row.  Returns
-    the mask of rows kept and the updated ages of the kept rows.
+    ``w`` holds the value of every pool row at the solution, Q x, and
+    ``ages`` the consecutive slack rounds of every row.  Returns the mask of
+    rows kept and the updated ages of the kept rows.
     """
-    slack = ~(np.abs(pool.violations(x_lb)) <= eps_act)
+    slack = ~(np.abs(w) <= eps_act)
     age = np.where(slack, ages + 1, 0)
     keep = ~slack | (age < patience)
     return keep, age[keep]
@@ -172,10 +175,14 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
     lp_tol = _LP_TOL_START
     slack_ages = np.zeros(len(pool), dtype=np.int64)  # aligned to the pool rows
     lp = None
+    kept_rows = None  # the rows of lp that open the pool, in order
     x_lb = None
 
     for round_idx in range(1, cfg.max_rounds + 1):
-        lp = build(d, k, pool, base=lp)
+        t0 = time.monotonic()
+        lp = build(d, k, pool, base=lp, kept=kept_rows)
+        time_build = time.monotonic() - t0
+        kept_rows = np.ones(len(pool), dtype=bool)  # unless the round merges new cuts
         lp_tol = float(min(lp_tol, max(_LP_TOL_FLOOR, 0.1 * r_g)))  # r_g = inf keeps it
 
         t0 = time.monotonic()
@@ -216,9 +223,11 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
             cuts_added=0,
             violated_found=0,
             exhaustive=False,
+            time_build=time_build,
             time_solve=time_solve,
             time_round=time_round,
             time_separate=0.0,
+            time_drop=0.0,
         )
         trace.rounds.append(record)
 
@@ -230,11 +239,6 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
                 continue
             trace.status = "converged"
             break
-
-        # eps_act = 20 lp_tol: 2 at lp_tol = 0.1, the largest |w| of a pair cut on [0, 1]
-        kept_rows, kept_ages = _age_cuts(
-            pool, x_lb, max(1e-8, 20.0 * lp_tol), slack_ages, _DROP_PATIENCE
-        )
 
         t0 = time.monotonic()
         report = separate_greedy(x_lb, t_max, cfg.eps_vio)
@@ -264,11 +268,23 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
         if not report.cuts:
             trace.status = "no_more_cuts"
             break
-        kept = pool.take(kept_rows)
-        record.cuts_removed = len(pool) - len(kept)
-        added = kept.extend(report.cuts.take(report.order()), limit=p_max)
+
+        t0 = time.monotonic()
+        # eps_act = 20 lp_tol: 2 at lp_tol = 0.1, the largest |w| of a pair cut on [0, 1]
+        kept_rows, kept_ages = _age_cuts(
+            lp.q @ sol.x, max(1e-8, 20.0 * lp_tol), slack_ages, _DROP_PATIENCE
+        )
+        merged, old_rows = pool.merge(kept_rows, report.cuts.take(report.order()), limit=p_max)
+        added = len(merged) - kept_ages.size
         slack_ages = np.concatenate([kept_ages, np.zeros(added, dtype=np.int64)])
+        # a cut keeps its dual, also one dropped and separated again
+        z0 = np.zeros(len(merged))
+        z0[old_rows >= 0] = sol.z[old_rows[old_rows >= 0]]
+        warm = (sol.x, sol.y, z0)
+        record.cuts_removed = len(pool) - kept_ages.size
         record.cuts_added = added
+        pool = merged
+        record.time_drop = time.monotonic() - t0
 
         if record.violated_found < escalation:
             t_max = min(t_limit, t_max + 1)
@@ -276,13 +292,6 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
             # working accuracy must outrun the separation noise or the pool
             # just churns; ratchet the tolerance down on stalled progress
             lp_tol = max(_LP_TOL_FLOOR, 0.1 * lp_tol)
-
-        # a cut keeps its dual, also one dropped and separated again
-        old_rows = pool.lookup(kept)
-        z0 = np.zeros(len(kept))
-        z0[old_rows >= 0] = sol.z[old_rows[old_rows >= 0]]
-        warm = (sol.x, sol.y, z0)
-        pool = kept
     else:
         trace.status = "max_rounds"
 

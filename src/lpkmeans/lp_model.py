@@ -5,8 +5,8 @@ inequalities of the form
     sum_{j in S} X_ij  <=  X_ii + sum_{j < k in S} X_jk,    2 <= |S|.
 
 The pool is columnar: an anchor array ``i`` and a set array ``s`` whose rows
-are sorted and padded with -1.  Building the cut rows, evaluating the
-violations and deduplicating are array operations over all rows at once.
+are sorted and padded with -1.  Building the cut rows and merging pools
+are array operations over all rows at once.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class CutPool:
     s[r] in ascending order and -1 pads the row to the widest set in the
     pool.  Rows keep their insertion order; a row equal to an earlier one is
     never stored.  The constructor wraps rows that are already canonical and
-    distinct; :meth:`extend` is the way to add rows that may repeat.
+    distinct; :meth:`merge` is the way to add rows that may repeat.
     """
 
     def __init__(self, i=(), s=None):
@@ -82,46 +82,36 @@ class CutPool:
 
     __getitem__ = take
 
-    def _stacked_keys(self, other: CutPool) -> np.ndarray:
-        width = max(self.width, other.width)
-        return _row_keys(
-            np.concatenate([self.i, other.i]),
-            np.concatenate([_pad(self.s, width), _pad(other.s, width)]),
-        )
-
-    def lookup(self, other: CutPool) -> np.ndarray:
-        """Row of each cut of ``other`` in this pool, -1 where it is absent."""
+    def merge(
+        self, keep: np.ndarray, cuts: CutPool, limit: int | None = None
+    ) -> tuple[CutPool, np.ndarray]:
+        """The pool of the rows the mask ``keep`` selects, in order, followed
+        by the cuts of ``cuts`` not among them, first occurrences in their
+        order, at most ``limit`` of them; and the row in this pool of every
+        row of that pool, -1 where it is absent.  A cut this pool holds in a
+        row ``keep`` drops is appended again and maps to that row.  One sort
+        of the two pools' rows together serves both results."""
+        width = max(self.width, cuts.width)
+        # the cuts come first, so a key's first index is its first cut
         _, first, inverse = np.unique(
-            self._stacked_keys(other), return_index=True, return_inverse=True
+            _row_keys(np.concatenate([cuts.i, self.i]),
+                      np.concatenate([_pad(cuts.s, width), _pad(self.s, width)])),
+            return_index=True, return_inverse=True,
         )
-        rows = first[inverse[len(self) :]]
-        return np.where(rows < len(self), rows, -1)
-
-    def extend(self, other: CutPool, limit: int | None = None) -> int:
-        """Append the cuts of ``other`` that are not yet in the pool, in their
-        order, stopping after ``limit`` of them; returns how many were added."""
-        if len(other) == 0:
-            return 0
-        _, first = np.unique(self._stacked_keys(other), return_index=True)
-        fresh = np.sort(first[first >= len(self)]) - len(self)
+        order = np.arange(len(cuts))
+        row_of = np.full(first.size, -1, dtype=np.int64)  # by key; a pool holds each key once
+        row_of[inverse[len(cuts):]] = np.arange(len(self))
+        rows = row_of[inverse[: len(cuts)]]
+        # the trailing False is the one that row -1, absent, reads
+        fresh = order[(first[inverse[: len(cuts)]] == order) & ~np.append(keep, False)[rows]]
         if limit is not None:
             fresh = fresh[: max(limit, 0)]
-        width = max(self.width, other.width)
-        self.i = np.concatenate([self.i, other.i[fresh]])
-        self.s = np.concatenate([_pad(self.s, width), _pad(other.s[fresh], width)])
-        return fresh.size
-
-    def violations(self, x: np.ndarray) -> np.ndarray:
-        """w_i(S) = sum_{j in S} X_ij - X_ii - sum_{j<k in S} X_jk of every row
-        at X; > 0 means violated.  The sums run as in the scalar
-        ``reference_violation`` of tests/test_cut_pool.py, so the values agree
-        bit for bit on rows as wide as the pool and on |S| <= 3."""
-        valid = self.s >= 0
-        s = np.where(valid, self.s, 0)
-        at_i = np.where(valid, x[self.i[:, None], s], 0.0)
-        sub = np.where(valid[:, :, None] & valid[:, None, :], x[s[:, :, None], s[:, None, :]], 0.0)
-        pairs = np.triu(sub, 1).reshape(len(self), self.width**2).sum(axis=1)
-        return at_i.sum(axis=1) - x[self.i, self.i] - pairs
+        kept = np.flatnonzero(keep)
+        merged = CutPool(
+            np.concatenate([self.i[kept], cuts.i[fresh]]),
+            np.concatenate([_pad(self.s[kept], width), _pad(cuts.s[fresh], width)]),
+        )
+        return merged, np.concatenate([kept, rows[fresh]])
 
 
 @dataclass
@@ -202,15 +192,29 @@ def _cut_rows(pool: CutPool, n: int) -> sp.csr_matrix:
     return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(len(pool), nv))
 
 
-def build(d: np.ndarray, k: int, pool: CutPool, base: LpStandardForm | None = None) -> LpStandardForm:
+def build(
+    d: np.ndarray, k: int, pool: CutPool, base: LpStandardForm | None = None,
+    kept: np.ndarray | None = None,
+) -> LpStandardForm:
     """Assemble the standard form for given squared distances and cut pool.
 
     ``base``, a form built earlier from the same distances and K, lends its
     objective, equality rows and bounds, so only the cut rows are assembled.
+    ``kept``, a mask over the cut rows of ``base``, says that the rows it
+    selects are, in order, the first rows of ``pool``, as
+    :meth:`CutPool.merge` leaves them: those rows are taken from ``base``
+    and only the rows after them are assembled.
     """
+    import scipy.sparse as sp
+
+    n = d.shape[0]
     if base is None:
         base = _equality_form(d, k)
-    return dataclasses.replace(base, q=_cut_rows(pool, d.shape[0]))
+    if kept is None:
+        return dataclasses.replace(base, q=_cut_rows(pool, n))
+    reused = base.q[kept]
+    fresh = _cut_rows(pool[reused.shape[0]:], n)
+    return dataclasses.replace(base, q=sp.vstack([reused, fresh], format="csr"))
 
 
 def _sample_without_replacement(rng: np.random.Generator, total: int, size: int) -> np.ndarray:

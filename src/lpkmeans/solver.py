@@ -176,25 +176,29 @@ def solve(
     # Every vector the iterations write is allocated here, once.  The
     # accepted iterate (x, yin, kty = K^T yin) and the candidate step
     # (x_new, y_new, kty_new) trade buffers on acceptance; dx, dy and dk
-    # also hold the step's intermediates and the averages' increments.
-    # Between steps dy and dk are free, and the checks keep K x and
-    # K^T y_bar there.
-    x_new, dx, dk, kty, kty_new = (np.empty(nv) for _ in range(5))
-    y_new, dy = np.empty(m), np.empty(m)
+    # also hold the step's intermediates and the sums' increments.  The
+    # averages are kept as step-weighted sums, x_sum and y_sum, and divided
+    # out only at the checks, into the free x_new and y_new.  Between steps
+    # dy and dk are free, and the checks keep K x and K^T y_bar there.
+    x_new, dx, dk, kty, kty_new, x_sum = (np.empty(nv) for _ in range(6))
+    y_new, dy, y_sum = np.empty(m), np.empty(m), np.empty(m)
     kx, kty_bar = dy, dk
-    x_bar, y_bar = x.copy(), yin.copy()
     x_prev_restart, y_prev_restart = x.copy(), yin.copy()
     res, reduced = np.empty(m), np.empty(nv)  # for the checks
+    q_eq = q_s[:me]  # the cut rows of q are zero
     matvecs = 0
 
-    def k_dot(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # out = K v through the kernel that ``@`` runs; the kernel adds to
-        # what ``out`` holds
+    def k_add(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # out += K v through the kernel that ``@`` runs, which sums each row
+        # of K v onto what ``out`` holds
         nonlocal matvecs
         matvecs += 1
-        out.fill(0.0)
         csr_matvec(m, nv, k_s.indptr, k_s.indices, k_s.data, v, out)
         return out
+
+    def k_dot(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out.fill(0.0)
+        return k_add(v, out)
 
     def kt_dot(v: np.ndarray, out: np.ndarray) -> np.ndarray:
         # out = K^T v, reading K's CSR arrays as the CSC arrays of K^T: the
@@ -259,8 +263,8 @@ def solve(
 
     while True:
         err_at_restart = restart_error(x, yin, omega, k_dot(x, kx), kty)
-        np.copyto(x_bar, x)
-        np.copyto(y_bar, yin)
+        x_sum.fill(0.0)
+        y_sum.fill(0.0)
         step_sum = 0.0  # of the accepted steps since the restart
         inner = 0
         err_candidate_prev = np.inf
@@ -280,12 +284,16 @@ def solve(
                 # a bound of +0.0, and x - s t is -0.0 only where x is
                 np.maximum(dx, lb_s, out=dx)
                 np.minimum(dx, ub_s, out=x_new)
-                # y_new = proj(y + (eta omega) (q - K (2 x_new - x)))
+                # y_new = proj(y + s q + K v), s = eta omega, v = s (x - 2 x_new):
+                # a copy of y whose equality rows gain s q (the cut rows of q
+                # are 0), onto which the kernel adds K v row by row
+                s = eta * omega
                 np.multiply(2.0, x_new, out=dx)
-                np.subtract(dx, x, out=dx)
-                np.subtract(q_s, k_dot(dx, dy), out=dy)
-                np.multiply(eta * omega, dy, out=dy)
-                np.add(yin, dy, out=y_new)
+                np.subtract(x, dx, out=dx)
+                np.multiply(s, dx, out=dx)
+                np.copyto(y_new, yin)
+                y_new[:me] += s * q_eq
+                k_add(dx, y_new)
                 np.maximum(y_new[me:], 0.0, out=y_new[me:])
                 kt_dot(y_new, kty_new)
                 np.subtract(x_new, x, out=dx)
@@ -306,14 +314,14 @@ def solve(
             kty, kty_new = kty_new, kty
             inner += 1
             iterations += 1
+            # the running sums x_sum += eta x and y_sum += eta y; an accepted
+            # step passes over the dual vector six times: the copy, the
+            # projection, dy, dy.dy and the sum's two
             step_sum += eta
-            weight = eta / step_sum
-            np.subtract(x, x_bar, out=dx)
-            np.multiply(weight, dx, out=dx)
-            np.add(x_bar, dx, out=x_bar)
-            np.subtract(yin, y_bar, out=dy)
-            np.multiply(weight, dy, out=dy)
-            np.add(y_bar, dy, out=y_bar)
+            np.multiply(eta, x, out=dx)
+            np.add(x_sum, dx, out=x_sum)
+            np.multiply(eta, yin, out=dy)
+            np.add(y_sum, dy, out=y_sum)
             eta = eta_next
 
             if iterations % check_every and iterations < max_iters:
@@ -330,6 +338,8 @@ def solve(
             if max(current[:2]) <= tol:
                 return finalize(current, "optimal_to_tol")
             err_cur = restart_error(x, yin, omega, kx, kty)
+            x_bar = np.divide(x_sum, step_sum, out=x_new)
+            y_bar = np.divide(y_sum, step_sum, out=y_new)
             average = kkt(x_bar, y_bar, k_dot(x_bar, kx), kt_dot(y_bar, kty_bar))
             if max(average[:2]) <= tol:
                 return finalize(average, "optimal_to_tol")

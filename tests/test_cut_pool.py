@@ -9,10 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpkmeans.core import packed_index, packed_len
-from lpkmeans.lp_model import all_cuts, build
+from lpkmeans.lp_model import CutPool, _cut_rows, all_cuts, build
 from lpkmeans.separation import separate_exhaustive, separate_greedy
 
-from conftest import cut_pool, cut_rows
+from conftest import (
+    cut_pool,
+    cut_rows,
+    raw_cut_pool,
+    reference_extend,
+    reference_lookup,
+    violations,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -51,15 +58,21 @@ def reference_cut_rows(cuts: list[tuple[int, tuple[int, ...]]], n: int) -> sp.cs
 
 
 @st.composite
-def cut_lists(draw, max_n=30, max_cuts=40):
-    """n and a list of cuts with |S| in {2, 3, 4}, duplicates possible."""
-    n = draw(st.integers(3, max_n))
+def cuts_of(draw, n, max_cuts):
+    """A list of cuts on n points with |S| in {2, 3, 4}, duplicates possible."""
     cuts = []
     for _ in range(draw(st.integers(0, max_cuts))):
         size = draw(st.integers(2, min(4, n - 1)))
         members = draw(st.permutations(range(n)))[: size + 1]
         cuts.append((members[0], tuple(members[1:])))
-    return n, cuts
+    return cuts
+
+
+@st.composite
+def cut_lists(draw, max_n=30, max_cuts=40):
+    """n and a list of cuts with |S| in {2, 3, 4}, duplicates possible."""
+    n = draw(st.integers(3, max_n))
+    return n, draw(cuts_of(n, max_cuts))
 
 
 def symmetric(seed: int, n: int, levels: int | None = None) -> np.ndarray:
@@ -90,7 +103,7 @@ def test_violations_match_scalar_formula(case, seed):
     n, raw = case
     pool = cut_pool(raw)
     x = symmetric(seed, n)
-    w = pool.violations(x)
+    w = violations(pool, x)
     for (i, s), value in zip(cut_rows(pool), w):
         if len(s) == 2:
             assert value == reference_violation(x, i, s)
@@ -110,14 +123,61 @@ def test_deduplication_keeps_first_insertion_order(case, seed):
 
     first = list(dict.fromkeys((i, tuple(sorted(s))) for i, s in raw))
     assert cut_rows(pool) == first
-    assert pool.extend(pool[:]) == 0
-    assert (pool.lookup(cut_pool(doubled)) >= 0).all()
+    every, none = np.ones(len(pool), dtype=bool), np.zeros(len(pool), dtype=bool)
+    assert pool.merge(every, pool[:])[0] == pool
+    # every row of the doubled list, repeats included, is a row of the pool
+    repeated = CutPool(np.concatenate([pool.i, pool.i]), np.concatenate([pool.s, pool.s]))
+    merged, rows = pool.merge(none, repeated)
+    assert merged == pool and rows.tolist() == list(range(len(pool)))
 
     # a limit counts only the cuts actually added
     half = pool.take(slice(None, None, 2))
     missing = len(pool) - len(half)
-    assert half.extend(pool, limit=1) == min(1, missing)
-    assert pool.lookup(half).tolist() == [first.index(c) for c in cut_rows(half)]
+    merged, _ = half.merge(np.ones(len(half), dtype=bool), pool, limit=1)
+    assert len(merged) - len(half) == min(1, missing)
+    assert pool.merge(none, half)[1].tolist() == [first.index(c) for c in cut_rows(half)]
+
+
+@st.composite
+def pool_rounds(draw):
+    """A round's pool change: n, a pool of cuts with |S| in {2, 3, 4}, a
+    mask of the rows it keeps, and separated cuts, some of them already in
+    the pool (kept or dropped) and some repeated, with a limit."""
+    n, raw = draw(cut_lists(max_n=12, max_cuts=40))
+    pool = cut_pool(raw)
+    keep = np.array(draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool))),
+                    dtype=bool)
+    cuts = draw(cuts_of(n, 30))
+    if len(pool):
+        cuts += draw(st.lists(st.sampled_from(cut_rows(pool)), max_size=10))
+    cuts = draw(st.permutations(cuts))
+    return n, pool, keep, raw_cut_pool(cuts), draw(st.one_of(st.none(), st.integers(0, 30)))
+
+
+@PROPERTY
+@given(pool_rounds())
+def test_merge_matches_take_extend_lookup(case):
+    n, pool, keep, cuts, limit = case
+    merged, rows = pool.merge(keep, cuts, limit=limit)
+    kept, added = reference_extend(pool.take(keep), cuts, limit=limit)
+    assert merged == kept
+    assert len(merged) - int(keep.sum()) == added
+    assert np.array_equal(rows, reference_lookup(pool, kept))
+
+
+@PROPERTY
+@given(pool_rounds())
+def test_build_reusing_kept_rows_matches_full_rebuild(case):
+    n, pool, keep, cuts, limit = case
+    d = np.zeros((n, n))
+    lp = build(d, 2, pool)
+    merged, _ = pool.merge(keep, cuts, limit=limit)
+    q = build(d, 2, merged, base=lp, kept=keep).q
+    ref = _cut_rows(merged, n)
+    assert q.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(q, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @PROPERTY

@@ -7,8 +7,10 @@ import lpkmeans.cutplane as cutplane
 from lpkmeans.core import (
     PointSet,
     kmeans_cost,
+    pack_matrix,
     same_partition,
     squared_distances,
+    unpack_matrix,
 )
 from lpkmeans.cutplane import SolveConfig, _age_cuts, gap, solve_kmeans_lp
 from lpkmeans.generators import GenSpec, generate
@@ -16,7 +18,7 @@ from lpkmeans.lp_model import CutPool, all_cuts, build
 from lpkmeans.separation import separate_greedy
 from lpkmeans.solver import solve
 
-from conftest import cut_rows, random_points
+from conftest import cut_rows, random_points, violations
 
 F_KMEANS = 146.0 / 72.0
 F_LP = 54.0 / 28.0
@@ -32,9 +34,11 @@ def test_gap_values():
     assert gap(0.0, -1.0) == np.inf
 
 
-def drop_slack_cuts(pool: CutPool, x: np.ndarray, eps_act: float) -> CutPool:
-    """The aging step with patience one: every slack cut leaves at once."""
-    keep, ages = _age_cuts(pool, x, eps_act, np.zeros(len(pool), dtype=np.int64), patience=1)
+def drop_slack_cuts(pool: CutPool, lp, x: np.ndarray, eps_act: float) -> CutPool:
+    """The aging step with patience one, on the slacks Q x the loop reads:
+    every slack cut leaves at once."""
+    keep, ages = _age_cuts(lp.q @ pack_matrix(x), eps_act, np.zeros(len(pool), dtype=np.int64),
+                           patience=1)
     assert not ages.any()
     return pool.take(keep)
 
@@ -44,18 +48,18 @@ def test_drop_slack_cuts(five_point):
     pool = all_cuts(5, 2)
     lp = build(d, 2, pool)
     sol = solve(lp, tol=1e-8)
-    from lpkmeans.core import unpack_matrix
-
     x = unpack_matrix(sol.x, 5)
-    kept = drop_slack_cuts(pool, x, 1e-6)
+    # the slacks the loop reads sum in column order: a few ulps from the evaluator
+    assert np.abs(lp.q @ sol.x - violations(pool, x)).max() <= 1e-14
+    kept = drop_slack_cuts(pool, lp, x, 1e-6)
     i, j, k = pool.i, pool.s[:, 0], pool.s[:, 1]
     w = x[i, j] + x[i, k] - x[i, i] - x[j, k]  # every cut of the pool is a pair cut
     assert kept == pool.take(np.abs(w) <= 1e-6)
     assert 0 < len(kept) < len(pool)
     # boundary behaviors
-    assert len(drop_slack_cuts(pool, x, 1e9)) == len(pool)
-    none_tight = drop_slack_cuts(pool, np.eye(5), 1e-9)
-    assert (np.abs(none_tight.violations(np.eye(5))) <= 1e-9).all()
+    assert len(drop_slack_cuts(pool, lp, x, 1e9)) == len(pool)
+    none_tight = drop_slack_cuts(pool, lp, np.eye(5), 1e-9)
+    assert (np.abs(violations(none_tight, np.eye(5))) <= 1e-9).all()
 
 
 def test_age_cuts_patience():
@@ -63,11 +67,13 @@ def test_age_cuts_patience():
     pool = all_cuts(3, 2)
     y = x.copy()
     y[0, 0] = 0.5  # only the cut anchored at 0, row 0, turns slack
+    w = build(np.zeros((3, 3)), 2, pool).q @ pack_matrix(y)
+    assert np.array_equal(w, violations(pool, y))
     ages = np.array([0, 0, 5])
-    keep, kept_ages = _age_cuts(pool, y, 1e-9, ages, patience=2)
+    keep, kept_ages = _age_cuts(w, 1e-9, ages, patience=2)
     assert keep.tolist() == [True, True, True]
     assert kept_ages.tolist() == [1, 0, 0]  # a tight cut's age resets
-    keep, kept_ages = _age_cuts(pool, y, 1e-9, np.array([1, 0, 0]), patience=2)
+    keep, kept_ages = _age_cuts(w, 1e-9, np.array([1, 0, 0]), patience=2)
     assert keep.tolist() == [False, True, True]
     assert kept_ages.tolist() == [0, 0]
 
@@ -201,7 +207,7 @@ def assert_replays_schedule_rule(trace, cfg, start):
 # of the final duals, so it pins the PDHG iterates too (adaptive steps, with
 # the step and primal weight carried across rounds).
 K3_MIXED = {
-    "escalate": (1e-4, 1.4836915987580173, 1.483691598992277),
+    "escalate": (1e-4, 1.4836915989460757, 1.483691598992277),
 }
 K3_ASSIGN = [2, 2, 0, 0, 0, 2, 0, 1, 1, 2, 1, 1, 1, 1, 1, 2, 0, 2]
 
@@ -209,9 +215,9 @@ K3_ASSIGN = [2, 2, 0, 0, 0, 2, 0, 1, 1, 2, 1, 1, 1, 1, 1, 2, 0, 2]
 def k3_mixed_solve(monkeypatch):
     pools = []  # the pool of every round's LP
 
-    def recording_build(d, k, pool, base=None):
+    def recording_build(d, k, pool, base=None, kept=None):
         pools.append(pool)
-        return build(d, k, pool, base=base)
+        return build(d, k, pool, base=base, kept=kept)
 
     monkeypatch.setattr(cutplane, "build", recording_build)
     points = PointSet(np.random.default_rng(110).uniform(size=(18, 2)))
@@ -225,6 +231,19 @@ def k3_mixed_solve(monkeypatch):
     assert trace.rounds[-1].t_max == 3
     assert_replays_schedule_rule(trace, cfg, cutplane._LP_TOL_START)
     return trace
+
+
+def test_round_phases_sum_within_total(monkeypatch):
+    # every phase has its own clock: seeding, then per round cut-row
+    # assembly, PDHG, rounding, separation, and aging with the pool merge;
+    # the clocks never overlap, so they add up to at most the whole
+    trace = k3_mixed_solve(monkeypatch)
+    phases = [trace.time_init]
+    for r in trace.rounds:
+        phases += [r.time_build, r.time_solve, r.time_round, r.time_separate, r.time_drop]
+    assert all(t >= 0.0 for t in phases)
+    assert sum(phases) <= trace.total_time
+    assert all((r.time_drop > 0.0) == (r.violated_found > 0) for r in trace.rounds)
 
 
 @pytest.mark.parametrize("case", sorted(K3_MIXED))

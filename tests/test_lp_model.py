@@ -16,7 +16,14 @@ from lpkmeans.generators import reference_nontight_matrix
 from lpkmeans.lp_model import CutPool, _sample_without_replacement, active_cuts, all_cuts, build
 from lpkmeans.separation import separate_exhaustive, separate_greedy
 
-from conftest import cut_pool, cut_rows, random_partition, random_points
+from conftest import (
+    cut_pool,
+    cut_rows,
+    random_partition,
+    random_points,
+    reference_lookup,
+    violations,
+)
 
 
 def test_facet_inequality_canonicalization():
@@ -38,16 +45,22 @@ def test_facet_inequality_canonicalization():
             assert len(s) >= 2 and i not in s
             assert list(s) == sorted(set(s))
         assert (np.diff((pool.s < 0).astype(int), axis=1) >= 0).all()  # no member after padding
-        assert pool.lookup(pool).tolist() == list(range(len(pool)))
+        assert reference_lookup(pool, pool).tolist() == list(range(len(pool)))
 
 
 def test_cut_pool_deduplicates():
     pool = CutPool()
-    assert pool.extend(CutPool([0], [[1, 2]])) == 1
-    assert pool.extend(CutPool([0], [[1, 2]])) == 0
-    assert pool.extend(CutPool([1], [[0, 2]])) == 1
+    for cut, added in ((CutPool([0], [[1, 2]]), 1), (CutPool([0], [[1, 2]]), 0),
+                       (CutPool([1], [[0, 2]]), 1)):
+        merged, rows = pool.merge(np.ones(len(pool), dtype=bool), cut)
+        assert len(merged) - len(pool) == added
+        assert rows.tolist() == list(range(len(pool))) + [-1] * added
+        pool = merged
     assert len(pool) == 2
-    assert pool.lookup(CutPool([0, 2], [[1, 2], [0, 1]])).tolist() == [0, -1]
+    # a dropped row, separated again, is appended and keeps its old row
+    merged, rows = pool.merge(np.array([False, True]), CutPool([0, 2], [[1, 2], [0, 1]]))
+    assert cut_rows(merged) == [(1, (0, 2)), (0, (1, 2)), (2, (0, 1))]
+    assert rows.tolist() == [1, 0, -1]
 
 
 def test_build_counts(five_point):
@@ -97,7 +110,7 @@ def test_violation_arithmetic():
     x[0, 1] = x[1, 0] = 0.6
     x[0, 2] = x[2, 0] = 0.6
     x[1, 2] = x[2, 1] = 0.1
-    assert CutPool([0], [[1, 2]]).violations(x)[0] == pytest.approx(0.6, abs=1e-15)
+    assert violations(CutPool([0], [[1, 2]]), x)[0] == pytest.approx(0.6, abs=1e-15)
 
 
 def test_violation_nonpositive_on_partition_matrices():
@@ -111,13 +124,13 @@ def test_violation_nonpositive_on_partition_matrices():
             i = int(rng.integers(n))
             size = int(rng.integers(2, min(4, n - 1) + 1))
             s = rng.choice([v for v in range(n) if v != i], size=size, replace=False)
-            assert CutPool([i], [np.sort(s)]).violations(x)[0] <= 1e-12
+            assert violations(CutPool([i], [np.sort(s)]), x)[0] <= 1e-12
             trials += 1
 
 
 def test_violation_nonpositive_at_reference_matrix(five_point):
     xt = reference_nontight_matrix(1)
-    assert all_cuts(5, 2).violations(xt).max() <= 1e-12
+    assert violations(all_cuts(5, 2), xt).max() <= 1e-12
 
 
 def test_build_incremental_consistency(five_point):
@@ -264,7 +277,7 @@ def test_active_cuts_sampling_deterministic_and_capped():
     assert len(capped_a) == 25
     assert capped_a == capped_b
     assert capped_a != capped_c
-    assert (full.lookup(capped_a) >= 0).all()
+    assert (reference_lookup(full, capped_a) >= 0).all()
 
 
 def floyd_one_draw_per_step(rng, total, size):

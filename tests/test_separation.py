@@ -10,7 +10,7 @@ from lpkmeans.generators import reference_nontight_matrix
 from lpkmeans.lp_model import CutPool
 from lpkmeans.separation import SeparationReport, separate_exhaustive, separate_greedy
 
-from conftest import cut_rows, random_partition
+from conftest import cut_rows, random_partition, violations
 
 
 def brute_violated(x: np.ndarray, t_max: int, eps_vio: float) -> set:
@@ -161,7 +161,7 @@ def test_exhaustive_large_sets_match_bruteforce(t_max, n_max):
             x = random_symmetric(rng, n)
         report = separate_exhaustive(x, t_max, 1e-6)
         assert set(cut_rows(report.cuts)) == brute_violated(x, t_max, 1e-6)
-        assert np.abs(report.cuts.violations(x) - report.violations).max(initial=0.0) <= 1e-12
+        assert np.abs(violations(report.cuts, x) - report.violations).max(initial=0.0) <= 1e-12
 
 
 def test_greedy_subset_of_exhaustive():
@@ -182,7 +182,7 @@ def test_greedy_soundness_no_incremental_drift():
         x = random_symmetric(rng, n)
         report = separate_greedy(x, 4, 1e-6)
         assert (report.violations > 1e-6).all()
-        assert np.abs(report.cuts.violations(x) - report.violations).max(initial=0.0) < 1e-12
+        assert np.abs(violations(report.cuts, x) - report.violations).max(initial=0.0) < 1e-12
 
 
 @settings(max_examples=150, deadline=None)

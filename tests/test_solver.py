@@ -498,8 +498,11 @@ def reference_solve(lp, tol=1e-8, time_limit=None, max_iters=400_000, warm=None,
     """Restarted PDHG as one expression per update, allocating every vector
     it writes and computing every product it uses through ``@``, K^T ones
     on a transposed copy; the reference for the in-place loop of
-    :func:`solve`.  Returns the solution (``matvecs`` reads 0) and the
-    number of restarts to the average."""
+    :func:`solve`.  The dual step y + s q + K v sums each row of K v onto
+    y + s q, as the kernel writing into the dual step does: the product
+    [I K] [y + s q; v] adds the same terms in the same order.  The averages
+    are step-weighted sums divided at the checks.  Returns the solution
+    (``matvecs`` reads 0) and the number of restarts to the average."""
     t0 = time.monotonic()
     nv = lp.n_vars
     me = lp.a_eq.shape[0]
@@ -514,6 +517,7 @@ def reference_solve(lp, tol=1e-8, time_limit=None, max_iters=400_000, warm=None,
     else:
         dr, dc = np.ones(me + mi), np.ones(nv)
     k_s_t = k_s.T.tocsr()
+    k_aug = sp.hstack([sp.identity(me + mi, format="csr"), k_s], format="csr")
     c_s = lp.c * dc
     q_s = q_rhs * dr
     lb_s = lp.lb / dc
@@ -566,8 +570,8 @@ def reference_solve(lp, tol=1e-8, time_limit=None, max_iters=400_000, warm=None,
     kty = k_s_t @ yin
     while True:
         err_at_restart = restart_error(x, yin, omega)
-        x_bar = x.copy()
-        y_bar = yin.copy()
+        x_sum = np.zeros(nv)
+        y_sum = np.zeros(me + mi)
         step_sum = 0.0
         inner = 0
         err_candidate_prev = np.inf
@@ -577,7 +581,10 @@ def reference_solve(lp, tol=1e-8, time_limit=None, max_iters=400_000, warm=None,
             grow = 1.0 + (k_acc + 1) ** -0.6
             while True:
                 x_new = np.clip(x - (eta / omega) * (c_s - kty), lb_s, ub_s)
-                y_new = proj_y(yin + (eta * omega) * (q_s - k_s @ (2.0 * x_new - x)))
+                s = eta * omega
+                y_start = yin.copy()
+                y_start[:me] = yin[:me] + s * q_s[:me]
+                y_new = proj_y(k_aug @ np.concatenate([y_start, s * (x - 2.0 * x_new)]))
                 kty_new = k_s_t @ y_new
                 dx = x_new - x
                 dy = y_new - yin
@@ -595,13 +602,15 @@ def reference_solve(lp, tol=1e-8, time_limit=None, max_iters=400_000, warm=None,
             inner += 1
             iterations += 1
             step_sum += eta
-            x_bar += (eta / step_sum) * (x - x_bar)
-            y_bar += (eta / step_sum) * (yin - y_bar)
+            x_sum = x_sum + eta * x
+            y_sum = y_sum + eta * yin
             eta = eta_next
             if iterations % 64 and iterations < max_iters:
                 continue
             if not (np.isfinite(x).all() and np.isfinite(yin).all()):
                 return finalize(x_prev_restart, y_prev_restart, "numerical_failure", iterations)
+            x_bar = x_sum / step_sum
+            y_bar = y_sum / step_sum
             for xv, yv in ((x, yin), (x_bar, y_bar)):
                 pr, gap, _, _ = _reference_kkt(lp, k_s, k_s_t, dr, dc, q_rhs, me, xv, yv)
                 if max(pr, gap) <= tol:
