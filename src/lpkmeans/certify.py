@@ -2,8 +2,8 @@
 the greedy multiplier-repair construction of a dual certificate.
 
 Pair quantities are stored per cluster as flat arrays over the local pairs
-(a, b), a < b, in row-major upper-triangle order; ``PairValues.pair_index``
-maps a local index pair to its slot.
+(a, b), a < b, in row-major upper-triangle order: in a cluster of ``size``
+points the pair (a, b) is at slot a * size - a (a + 1) / 2 + (b - a - 1).
 """
 
 from __future__ import annotations
@@ -66,17 +66,6 @@ class PairValues:
     clusters: tuple[np.ndarray, np.ndarray]
     values: tuple[np.ndarray, np.ndarray]
 
-    def pair_index(self, c: int, a: int, b: int) -> int:
-        size = self.clusters[c].size
-        if a == b:
-            raise ValueError(f"({a}, {b}) is not a pair of two distinct points")
-        if a > b:
-            a, b = b, a
-        return a * size - a * (a + 1) // 2 + (b - a - 1)
-
-    def get(self, c: int, a: int, b: int) -> float:
-        return float(self.values[c][self.pair_index(c, a, b)])
-
 
 @dataclass(frozen=True)
 class ProximityReport:
@@ -96,25 +85,11 @@ class CertifyState:
     - sum_k lam[(i,j,k)] - sum_k lam[(j,i,k)].
     """
 
-    gamma: PairValues
     r_bar: tuple[np.ndarray, np.ndarray]
     lam: dict[tuple[int, int, int], float] = field(default_factory=dict)
     success: bool = False
     failed_pair: tuple[int, int] | None = None
     deficit: float = 0.0
-
-    def recomputed_r_bar(self) -> tuple[np.ndarray, np.ndarray]:
-        """Residuals rebuilt from gamma and the multipliers alone."""
-        out = tuple(np.array(v, dtype=np.float64) for v in self.gamma.values)
-        pos = {int(g): (c, a) for c in (0, 1) for a, g in enumerate(self.gamma.clusters[c])}
-        for (k, i, j), v in self.lam.items():
-            c, ka = pos[k]
-            _, ia = pos[i]
-            _, ja = pos[j]
-            out[c][self.gamma.pair_index(c, ia, ja)] += v
-            out[c][self.gamma.pair_index(c, ia, ka)] -= v
-            out[c][self.gamma.pair_index(c, ja, ka)] -= v
-        return out
 
 
 def _ordered_clusters(p: Partition) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +285,7 @@ def gamma_values(d: np.ndarray, p: Partition) -> PairValues:
     return PairValues(clusters=stats.clusters, values=gamma)
 
 
-def certify(gamma: PairValues, p: Partition, audit: bool = False) -> CertifyState:
+def certify(gamma: PairValues, p: Partition) -> CertifyState:
     """Greedy dual-certificate construction.
 
     Negative-residual pairs are repaired most-negative first by transferring
@@ -329,13 +304,6 @@ def certify(gamma: PairValues, p: Partition, audit: bool = False) -> CertifyStat
     tied with its last kept whole, ordered by a ``lexsort`` of its
     (value, gi, gj) keys.  Beyond the residuals, the worklist holds one
     slot number per pending pair.
-
-    With ``audit`` each transfer is also replayed into a ledger, a second
-    copy of gamma whose slots are found by ``PairValues.pair_index``, and
-    every slot of the ledger is checked against the residuals to 1e-12 after
-    every multiplier; at the end the ledger is checked against
-    ``CertifyState.recomputed_r_bar``, the residuals rebuilt from gamma and
-    the multipliers alone.  That costs Theta(n^2) per multiplier.
     """
     g1, g2 = _ordered_clusters(p)
     if tuple(map(tuple, gamma.clusters)) != (tuple(g1), tuple(g2)):
@@ -353,8 +321,7 @@ def certify(gamma: PairValues, p: Partition, audit: bool = False) -> CertifyStat
         # min and max propagate NaN, and need no temporary array
         if v.size and not (np.isfinite(v.min()) and np.isfinite(v.max())):
             raise ValueError("gamma values must be finite")
-    state = CertifyState(gamma=gamma, r_bar=r_bar)
-    ledger = tuple(v.copy() for v in r_bar) if audit else None
+    state = CertifyState(r_bar=r_bar)
 
     # the slot of local pair (a, b), a < b, is base[a] + b
     bases = []
@@ -422,10 +389,6 @@ def certify(gamma: PairValues, p: Partition, audit: bool = False) -> CertifyStat
             rc[idx_ab] = r_ab
             key = (members[k], gi, gj)
             state.lam[key] = state.lam.get(key, 0.0) + omega
-            if audit:
-                _replay(ledger, gamma, c, a, b, k, omega)
-                if _drifted(ledger, r_bar):
-                    raise AssertionError("residual bookkeeping drifted")
             if r_ab >= 0.0:
                 break
         if r_ab < 0.0:
@@ -434,8 +397,6 @@ def certify(gamma: PairValues, p: Partition, audit: bool = False) -> CertifyStat
             break
     else:
         state.success = True
-    if audit and _drifted(ledger, state.recomputed_r_bar()):
-        raise AssertionError("multipliers do not rebuild the residuals")
     return state
 
 
@@ -477,17 +438,3 @@ def _take_most_negative(
         pending[c] = np.concatenate([pending[c], slots[c][~keep]])
     return taken
 
-
-def _replay(
-    ledger: tuple[np.ndarray, np.ndarray], gamma: PairValues, c: int, a: int, b: int, k: int,
-    omega: float,
-) -> None:
-    """Apply the transfer of omega from pairs (a, k) and (b, k) to (a, b) of
-    cluster c to the audit ledger."""
-    ledger[c][gamma.pair_index(c, a, b)] += omega
-    ledger[c][gamma.pair_index(c, a, k)] -= omega
-    ledger[c][gamma.pair_index(c, b, k)] -= omega
-
-
-def _drifted(x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray]) -> bool:
-    return any(x[c].size and float(np.abs(x[c] - y[c]).max()) > 1e-12 for c in (0, 1))

@@ -73,6 +73,7 @@ def _checked(convert, ok, what: str):
 _positive_float = _checked(float, lambda v: v > 0, "a positive number")
 _non_negative_float = _checked(float, lambda v: v >= 0, "a non-negative number")
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_set_size = _checked(int, lambda v: v >= 2, "an integer >= 2")
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +317,11 @@ def cmd_certify(args) -> int:
         sol = solve(lp, tol=1e-8)
         x = unpack_matrix(sol.x, points.n)
         cost = kmeans_cost(points, p)
-        print(f"cross-check: lp optimum {sol.objective:.12g} vs partition cost {cost:.12g}")
+        # the PDHG objective may sit above the optimum; the safe bound may not,
+        # and rounding to 12 digits keeps the printed bound <= the printed cost
+        print(f"cross-check: lp optimum {sol.objective:.12g}"
+              f" (verified lower bound {safe_lower_bound(lp, sol):.12g})"
+              f" vs partition cost {cost:.12g}")
         print(f"  lp solution is a partition matrix: {is_partition_matrix(x, 2, 1e-5)}")
 
     return 0 if state.success else 2
@@ -481,7 +486,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--header", action="store_true")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--t", type=_set_size, default=None,
+                   help="largest inequality set size (default: 2)")
     p.add_argument("--tol", type=_positive_float, default=1e-8)
     p.add_argument("--max-iters", type=_positive_int, default=400_000)
     p.add_argument("--out", default=None)

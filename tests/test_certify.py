@@ -458,9 +458,10 @@ def test_shared_arrays_read_only_and_audit_succeeds():
         assert not values.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         g.values[0][0] = 0.0
-    state = certify(g, planted, audit=True)
+    state = certify(g, planted)
     assert state.success and state.lam
     assert all(state.r_bar[c].flags.writeable for c in (0, 1))
+    assert audited_lam(g, planted) == list(state.lam.items())
 
 
 def test_concurrent_callers_get_their_own_results():
@@ -596,7 +597,7 @@ def test_certify_two_point_cluster_cannot_repair():
     d = squared_distances(pts)
     g = gamma_values(d, p)
     state = certify(g, p)
-    assert g.get(0, 0, 1) < 0
+    assert pair_dict(g)[(0, 1)] < 0
     assert not state.success
     assert state.failed_pair == (0, 1)
     assert state.deficit < 0
@@ -609,27 +610,75 @@ def test_certify_repairs_and_bookkeeping_audit():
         d = squared_distances(pts)
         g = gamma_values(d, planted)
         negatives = int((g.values[0] < 0).sum() + (g.values[1] < 0).sum())
-        state = certify(g, planted, audit=True)
+        state = certify(g, planted)
         assert state.success
+        assert audited_lam(g, planted) == list(state.lam.items())
         if negatives:
             repaired += 1
             assert len(state.lam) > 0
             assert all(v >= 0 for v in state.lam.values())
-            rebuilt = state.recomputed_r_bar()
+            rebuilt = rebuilt_residuals(g, planted, state.lam)
             for c in (0, 1):
                 assert np.abs(rebuilt[c] - state.r_bar[c]).max() < 1e-12
                 assert state.r_bar[c].min() >= 0.0
     assert repaired >= 3
 
 
+def pair_index(size, a, b):
+    """Slot of the local pair (a, b), in either order, among the pairs of a
+    cluster of ``size`` points in row-major upper-triangle order."""
+    if a == b:
+        raise ValueError(f"({a}, {b}) is not a pair of two distinct points")
+    if a > b:
+        a, b = b, a
+    return a * size - a * (a + 1) // 2 + (b - a - 1)
+
+
+def rebuilt_residuals(gamma, p, lam):
+    """Residuals rebuilt from gamma and the multipliers alone: each
+    lam[(k, i, j)] moves its value from the pairs (i, k) and (j, k) of one
+    cluster of ``p`` to the pair (i, j)."""
+    clusters = lpkmeans.certify._ordered_clusters(p)
+    out = tuple(np.array(v, dtype=np.float64) for v in gamma.values)
+    pos = {int(g): (c, a) for c in (0, 1) for a, g in enumerate(clusters[c])}
+    for (k, i, j), v in lam.items():
+        c, ka = pos[k]
+        _, ia = pos[i]
+        _, ja = pos[j]
+        size = clusters[c].size
+        out[c][pair_index(size, ia, ja)] += v
+        out[c][pair_index(size, ia, ka)] -= v
+        out[c][pair_index(size, ja, ka)] -= v
+    return out
+
+
+def replay_transfer(ledger, c, size, a, b, k, omega):
+    """Apply the transfer of omega from pairs (a, k) and (b, k) to (a, b) of
+    cluster c to an audit ledger."""
+    ledger[c][pair_index(size, a, b)] += omega
+    ledger[c][pair_index(size, a, k)] -= omega
+    ledger[c][pair_index(size, b, k)] -= omega
+
+
+def drifted(x, y):
+    return any(x[c].size and float(np.abs(x[c] - y[c]).max()) > 1e-12 for c in (0, 1))
+
+
 def pair_index_certify(gamma, p, audit=False):
-    """The repair loop with a ``PairValues.pair_index`` call per slot and
-    per-element worklist conversions; the reference for ``certify``."""
+    """The repair loop with a ``pair_index`` call per slot and per-element
+    worklist conversions; the reference for ``certify``.
+
+    With ``audit`` each transfer is also replayed into a ledger, a second
+    copy of gamma, and every slot of the ledger is checked against the
+    residuals to 1e-12 after every multiplier; at the end the ledger is
+    checked against ``rebuilt_residuals``.  That costs Theta(n^2) per
+    multiplier."""
     g1, g2 = lpkmeans.certify._ordered_clusters(p)
     if tuple(map(tuple, gamma.clusters)) != (tuple(g1), tuple(g2)):
         raise ValueError("gamma values do not match the partition's clusters")
     r_bar = tuple(v.copy() for v in gamma.values)
-    state = lpkmeans.certify.CertifyState(gamma=gamma, r_bar=r_bar)
+    ledger = tuple(v.copy() for v in r_bar) if audit else None
+    state = lpkmeans.certify.CertifyState(r_bar=r_bar)
     worklist = []
     locals_by_cluster = []
     for c in (0, 1):
@@ -642,15 +691,16 @@ def pair_index_certify(gamma, p, audit=False):
     worklist.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
     for _, gi, gj, c in worklist:
         members = gamma.clusters[c]
+        size = members.size
         local = locals_by_cluster[c]
         a, b = local[gi], local[gj]
-        idx_ab = gamma.pair_index(c, a, b)
+        idx_ab = pair_index(size, a, b)
         rc = r_bar[c]
-        for k in range(members.size):
+        for k in range(size):
             if k == a or k == b:
                 continue
-            idx_ak = gamma.pair_index(c, a, k)
-            idx_bk = gamma.pair_index(c, b, k)
+            idx_ak = pair_index(size, a, k)
+            idx_bk = pair_index(size, b, k)
             omega = min(-rc[idx_ab], rc[idx_ak], rc[idx_bk])
             if omega <= 0.0:
                 continue
@@ -659,15 +709,27 @@ def pair_index_certify(gamma, p, audit=False):
             rc[idx_ab] += omega
             key = (int(members[k]), gi, gj)
             state.lam[key] = state.lam.get(key, 0.0) + omega
+            if audit:
+                replay_transfer(ledger, c, size, a, b, k, omega)
+                if drifted(ledger, r_bar):
+                    raise AssertionError("residual bookkeeping drifted")
             if rc[idx_ab] >= 0.0:
                 break
         if rc[idx_ab] < 0.0:
             state.success = False
             state.failed_pair = (gi, gj)
             state.deficit = float(rc[idx_ab])
-            return state
-    state.success = True
+            break
+    else:
+        state.success = True
+    if audit and drifted(ledger, rebuilt_residuals(gamma, p, state.lam)):
+        raise AssertionError("multipliers do not rebuild the residuals")
     return state
+
+
+def audited_lam(gamma, p):
+    """The multipliers of the audited reference, in the order it made them."""
+    return list(pair_index_certify(gamma, p, audit=True).lam.items())
 
 
 @st.composite
@@ -751,7 +813,6 @@ def test_certify_state_identical_to_pair_index_loop(case):
         mp.setattr(lpkmeans.certify, "_WORK_CHUNK", 5)
         got = certify(g, p)
     ref = pair_index_certify(g, p)
-    assert got.gamma is g
     for c in (0, 1):
         assert np.array_equal(g.values[c], before[c])
         assert got.r_bar[c].tobytes() == ref.r_bar[c].tobytes()  # -0.0 included
@@ -762,68 +823,68 @@ def test_certify_state_identical_to_pair_index_loop(case):
 
 
 def test_audit_checks_after_every_multiplier(monkeypatch):
+    # a ledger that drifts at the third transfer stops the audited reference
+    # right there
     d, planted = sbm_80()
     g = gamma_values(d, planted)
-    replay = lpkmeans.certify._replay
+    replay = replay_transfer
     replays = []
 
-    def drifting(ledger, gamma, c, a, b, k, omega):
+    def drifting(ledger, c, size, a, b, k, omega):
         replays.append(omega)
-        replay(ledger, gamma, c, a, b, k, omega)
+        replay(ledger, c, size, a, b, k, omega)
         if len(replays) == 3:
-            ledger[c][gamma.pair_index(c, a, b)] += 1e-9
+            ledger[c][pair_index(size, a, b)] += 1e-9
 
-    monkeypatch.setattr(lpkmeans.certify, "_replay", drifting)
+    monkeypatch.setitem(globals(), "replay_transfer", drifting)
     with pytest.raises(AssertionError, match="drifted"):
-        certify(g, planted, audit=True)
+        pair_index_certify(g, planted, audit=True)
     assert len(replays) == 3
 
 
 def test_audit_checks_ledger_against_recomputed_residuals(monkeypatch):
+    # one multiplier nudged by 1e-9 no longer rebuilds the residuals
     d, planted = sbm_80()
     g = gamma_values(d, planted)
-    recomputed = lpkmeans.certify.CertifyState.recomputed_r_bar
+    state = certify(g, planted)
+    key = next(iter(state.lam))
+    nudged = rebuilt_residuals(g, planted, {**state.lam, key: state.lam[key] + 1e-9})
+    assert drifted(nudged, state.r_bar)
+    assert not drifted(rebuilt_residuals(g, planted, state.lam), state.r_bar)
+    # the audited reference checks the rebuild once, after the last multiplier
+    rebuild = rebuilt_residuals
     calls = []
 
-    def drifting(state):
-        calls.append(len(state.lam))
-        out = recomputed(state)
-        out[1][0] += 1e-9
-        return out
+    def nudging(gamma, p, lam):
+        calls.append(len(lam))
+        return rebuild(gamma, p, {**lam, key: lam[key] + 1e-9})
 
-    monkeypatch.setattr(lpkmeans.certify.CertifyState, "recomputed_r_bar", drifting)
+    monkeypatch.setitem(globals(), "rebuilt_residuals", nudging)
     with pytest.raises(AssertionError, match="rebuild"):
-        certify(g, planted, audit=True)
-    # once, after the last of the multipliers
-    assert calls == [len(certify(g, planted).lam)]
+        pair_index_certify(g, planted, audit=True)
+    assert calls == [len(state.lam)]
 
 
 def test_audit_replays_each_transfer_once(monkeypatch):
-    # the replay is Theta(1) slots and the check Theta(n^2) per multiplier;
-    # rebuilding every residual from all multipliers so far, as the audit
-    # once did, took 0.29 s on sbm n=400 against 0.003 s unaudited
+    # sbm n=400: the production loop's 439 multipliers are those of the
+    # audited reference, each replayed once, and rebuild its residuals
     pts, planted = generate(GenSpec("sbm", n=400, m=2, delta=2.3, r1=1.0, seed=1))
     g = gamma_values(squared_distances(pts), planted)
-    replay = lpkmeans.certify._replay
-    recomputed = lpkmeans.certify.CertifyState.recomputed_r_bar
+    replay = replay_transfer
     replays = []
-    rebuilds = []
 
     def counting_replay(*args):
         replays.append(args)
         replay(*args)
 
-    def counting_rebuild(state):
-        rebuilds.append(len(state.lam))
-        return recomputed(state)
-
-    monkeypatch.setattr(lpkmeans.certify, "_replay", counting_replay)
-    monkeypatch.setattr(lpkmeans.certify.CertifyState, "recomputed_r_bar", counting_rebuild)
-    audited = certify(g, planted, audit=True)
+    monkeypatch.setitem(globals(), "replay_transfer", counting_replay)
+    audited = pair_index_certify(g, planted, audit=True)
     plain = certify(g, planted)
-    assert audited.success and len(audited.lam) == 439
+    assert plain.success and len(plain.lam) == 439 and len(replays) == 439
     assert list(audited.lam.items()) == list(plain.lam.items())
-    assert len(replays) == 439 and rebuilds == [439]
+    rebuilt = rebuilt_residuals(g, planted, plain.lam)
+    for c in (0, 1):
+        assert np.abs(rebuilt[c] - plain.r_bar[c]).max() <= 1e-12
 
 
 def transient_bytes(call):
@@ -926,8 +987,9 @@ def test_certify_float32_gamma_evaluated_as_float64():
     g, planted = sbm_40_gamma()
     g32 = PairValues(g.clusters, tuple(v.astype(np.float32) for v in g.values))
     g64 = PairValues(g.clusters, tuple(v.astype(np.float64) for v in g32.values))
-    got, expected = certify(g32, planted, audit=True), certify(g64, planted)
+    got, expected = certify(g32, planted), certify(g64, planted)
     assert len(expected.lam) == 45 and not expected.success
+    assert audited_lam(g64, planted) == list(expected.lam.items())
     for c in (0, 1):
         assert got.r_bar[c].dtype == np.float64
         assert got.r_bar[c].tobytes() == expected.r_bar[c].tobytes()
@@ -936,14 +998,14 @@ def test_certify_float32_gamma_evaluated_as_float64():
 
 
 def test_pair_index_rejects_a_point_paired_with_itself():
-    members = np.arange(20)
-    g = PairValues((members, members + 20), (np.arange(190.0), np.arange(190.0)))
-    assert g.pair_index(0, 2, 19) == g.pair_index(0, 19, 2) == 53
+    assert pair_index(20, 2, 19) == pair_index(20, 19, 2) == 53
     for a in (0, 3, 19):
         with pytest.raises(ValueError, match="distinct"):
-            g.pair_index(0, a, a)
-        with pytest.raises(ValueError, match="distinct"):
-            g.get(1, a, a)
+            pair_index(20, a, a)
+    # the slots are those of the row-major upper triangle, the layout of gamma
+    for size in range(1, 9):
+        au, bu = np.triu_indices(size, 1)
+        assert [pair_index(size, a, b) for a, b in zip(au, bu)] == list(range(au.size))
 
 
 def test_certify_monotone_under_uniform_shift():

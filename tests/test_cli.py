@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,17 @@ def test_lp_direct_rejects_a_non_positive_tolerance_or_budget(tmp_path, capsys, 
     assert code == 2 and json.loads(out)["iterations"] == 1
 
 
+@pytest.mark.parametrize("t", ["1", "-3", "0", "2.5", "x"])
+def test_lp_direct_rejects_a_set_size_below_two(tmp_path, capsys, t):
+    # --t 1 and --t -3 built the equality rows alone and exited 0
+    pts = tmp_path / "p.csv"
+    pts.write_text("0,0\n4,0\n0,4\n4,4\n")
+    err = _usage_error(capsys, "lp-direct", "--input", str(pts), "--k", "2", f"--t={t}")
+    assert f"argument --t: must be an integer >= 2, got '{t}'" in err
+    code, out, _ = run_cli(capsys, "lp-direct", "--input", str(pts), "--k", "2", "--t", "2")
+    assert code == 0 and json.loads(out)["t"] == 2
+
+
 def test_header_flag(tmp_path, capsys):
     pts = tmp_path / "h.csv"
     pts.write_text("x,y\n0,0\n1,0\n0,1\n")
@@ -256,6 +268,22 @@ def test_certify_command(tmp_path, capsys):
     assert "proximity: holds_strict" in out
     assert "certificate: success" in out
     assert "partition matrix: True" in out
+
+
+def test_certify_cross_check_bound_below_partition_cost(tmp_path, capsys):
+    # the PDHG objective, 22.0878436537, read above the partition cost,
+    # 22.0878436429, which the relaxation's optimum cannot exceed
+    pts = tmp_path / "g.csv"
+    run_cli(capsys, "generate", "--model", "ssm", "--n", "12", "--m", "2", "--delta", "3.0",
+            "--out", str(pts))
+    code, out, _ = run_cli(
+        capsys, "certify", "--input", str(pts), "--labels", str(tmp_path / "g.labels.csv"),
+        "--cross-check",
+    )
+    assert code == 0
+    found = re.search(r"verified lower bound (\S+)\) vs partition cost (\S+)", out)
+    assert found is not None
+    assert float(found[1]) <= float(found[2])
 
 
 def test_certify_command_computes_slacks_once(tmp_path, capsys, monkeypatch):

@@ -92,6 +92,20 @@ def test_five_point_run(five_point):
     assert any(r.exhaustive for r in trace.rounds)
 
 
+def test_k2_solve_never_calls_the_exhaustive_separation(five_point, monkeypatch):
+    # at t = 2 the greedy's empty report at the floor tolerance is the proof,
+    # so the proof round needs no enumeration and no enumeration budget
+    def refuse(*args, **kwargs):
+        raise AssertionError("exhaustive separation in a K = 2 solve")
+
+    monkeypatch.setattr(cutplane, "separate_exhaustive", refuse)
+    points, _, _ = five_point
+    _, trace, tight = solve_kmeans_lp(points, SolveConfig(k=2, seed=1))
+    assert trace.status == "no_more_cuts" and not tight
+    assert trace.rounds[-1].exhaustive and trace.rounds[-1].violated_found == 0
+    assert trace.rounds[-1].lp_tol == cutplane._LP_TOL_FLOOR
+
+
 def test_singletons_one_round_tight():
     pts = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     p, trace, tight = solve_kmeans_lp(pts, SolveConfig(k=4, seed=1))

@@ -58,3 +58,34 @@ def test_cli_import_loads_no_scipy_and_no_libcrypto():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert json.loads(run.stdout) == []
+
+
+def test_scipy_loaded_before_the_first_lp_build():
+    # the first import of scipy.sparse counts in the solve's time_init, not
+    # in round 1's time_build
+    src = str(Path(lpkmeans.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = """
+import json, sys
+import lpkmeans, lpkmeans.cutplane as cutplane
+from lpkmeans.generators import GenSpec, generate
+
+seen = []
+build = cutplane.build
+
+def recording_build(*args, **kwargs):
+    seen.append("scipy.sparse" in sys.modules)
+    return build(*args, **kwargs)
+
+cutplane.build = recording_build
+points, _ = generate(GenSpec("ssm", n=20, m=2, delta=3.0, seed=1))
+before = "scipy.sparse" in sys.modules
+lpkmeans.solve_kmeans_lp(points, lpkmeans.SolveConfig(k=2))
+print(json.dumps({"before": before, "seen": seen}))
+"""
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    out = json.loads(run.stdout)
+    assert not out["before"] and out["seen"] and all(out["seen"])

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from lpkmeans.core import partition_matrix
 from lpkmeans.generators import reference_nontight_matrix
 from lpkmeans.lp_model import CutPool
-from lpkmeans.separation import SeparationReport, separate_exhaustive, separate_greedy
+from lpkmeans.separation import (
+    SeparationReport,
+    _grow,
+    separate_exhaustive,
+    separate_greedy,
+)
 
 from conftest import cut_rows, random_partition, violations
 
@@ -195,6 +200,37 @@ def test_greedy_matches_reference_loop(x, t_max, eps_vio):
     fast_order, slow_order = fast.order(), slow.order()
     assert fast.cuts.take(fast_order) == slow.cuts.take(slow_order)
     assert np.array_equal(fast.violations[fast_order], slow.violations[slow_order])
+
+
+@st.composite
+def near_partition_matrices(draw):
+    """Partition matrices with symmetric noise of either sign, down to 1e-12,
+    so that many pair cuts sit within rounding of zero."""
+    n = draw(st.integers(3, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = partition_matrix(random_partition(rng, n, draw(st.integers(1, min(n, 4)))))
+    noise = 2.0 * random_symmetric(rng, n) - 1.0
+    return x + 10.0 ** -draw(st.integers(2, 12)) * noise
+
+
+def row_maxima(report: SeparationReport) -> dict:
+    """The largest violation per (anchor i, smallest member j of S)."""
+    out = {}
+    for (i, s), w in zip(cut_rows(report.cuts), report.violations.tolist()):
+        out[(i, s[0])] = max(w, out.get((i, s[0]), -np.inf))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(separation_matrices(), near_partition_matrices()),
+       st.sampled_from([-np.inf, 0.0, 1e-6]))
+def test_pair_greedy_row_maxima_equal_exhaustive_growth(x, eps_vio):
+    # at t = 2 both form w_i({j}) + gamma[j, k] with the same operations and
+    # fl(w + gamma) is monotone in gamma, so the greedy's argmax extension
+    # carries every row's largest violation: its empty report is the proof
+    greedy = separate_greedy(x, 2, eps_vio)
+    exhaustive = _grow(x, 2, eps_vio, exhaustive=True)
+    assert row_maxima(greedy) == row_maxima(exhaustive)
 
 
 def test_exhaustive_cap_and_order():
