@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lpkmeans.core import Partition
+from lpkmeans.core import Partition, rounding_gamma
 
 __all__ = [
     "TwoClusterStats",
@@ -27,10 +27,6 @@ __all__ = [
     "gamma_values",
     "certify",
 ]
-
-# A margin counts as strictly positive above this fraction of the largest
-# mean cross-cluster distance, so the verdict does not depend on units.
-_STRICT_MARGIN = 1e-9
 
 # Pair-slack tiling: rows per block, the byte budget of one thread's minimum
 # buffer (within a core's L2 cache), and the element operations below which
@@ -69,6 +65,10 @@ class PairValues:
 
 @dataclass(frozen=True)
 class ProximityReport:
+    """``holds_strict``: every pair's computed slack exceeds the bound on its
+    rounding error (see ``_slack_error``), so every exact slack is positive;
+    ``holds``: none is negative as computed; ``fails``: some pair's is."""
+
     verdict: str  # holds_strict | holds | fails
     margin_small: float  # min slack over pairs in the smaller cluster
     margin_large: float
@@ -261,16 +261,37 @@ def _stats_and_gamma(
     return result
 
 
+def _slack_error(stats: TwoClusterStats, n: int, span: float) -> float:
+    """A bound E on |computed - exact| of every pair slack, the exact slack
+    being that of the same float d with exact r1, r2, d_in and eta.
+
+    With D = ``span`` >= |d_ij|, q = r2 / r1 >= 1 and C the sum of the
+    magnitudes of eta's four coefficients (C = 2q, so |eta| <= C D): every
+    d_in, a mean of at most n values, is within gamma_n D of its own; every
+    u_ik = r d_ik - d_in_i, |u_ik| <= 3D, within gamma_(n+8) D, and their
+    mean over the other cluster within gamma_(4n+10) D.  eta is a dot product
+    of four coefficients, each within gamma_6 q of its own, with four values
+    each within gamma_2n D; it and the threshold (r1/r2) eta are within
+    4 q D gamma_(4n+25).  The four additions that finish a slack add
+    u (23 + 3q) D.  In all, D gamma_(6n+33) + q D gamma_(16n+103), which E
+    bounds with room to spare."""
+    ratio = stats.r1 / stats.r2
+    inverse = stats.r2 / stats.r1
+    coefficients = abs(1.0 - ratio) + abs(1.0 - inverse) + ratio + inverse
+    return rounding_gamma(32 * (n + 8)) * span * (1.0 + coefficients)
+
+
 def proximity_check(d: np.ndarray, p: Partition) -> ProximityReport:
-    """Evaluate the pairwise sufficient condition; a strictly positive margin
-    additionally certifies uniqueness of the optimal solution."""
+    """Evaluate the pairwise sufficient condition; a margin above the slacks'
+    rounding bound additionally certifies uniqueness of the optimal solution."""
+    d = np.asarray(d, dtype=np.float64)
     stats, (g1, g2) = _stats_and_gamma(d, p)
     margin_small = float(g1.min()) / 2.0 if g1.size else np.inf
     margin_large = float(g2.min()) / 2.0 if g2.size else np.inf
     worst = min(margin_small, margin_large)
     if worst < 0.0:
         verdict = "fails"
-    elif worst > _STRICT_MARGIN * float(stats.d_out.max()):
+    elif worst > _slack_error(stats, p.n, max(float(d.max()), -float(d.min()))):
         verdict = "holds_strict"
     else:
         verdict = "holds"

@@ -203,6 +203,7 @@ def cmd_solve(args) -> int:
         "r_g": trace.r_g,
         "tight": bool(tight),
         "status": trace.status,
+        "certified": trace.certified,
         "rounds": trace.n_rounds,
         "timings": {
             "init": trace.time_init,

@@ -26,6 +26,7 @@ __all__ = [
     "partition_matrix",
     "lp_objective",
     "kmeans_cost",
+    "rounding_gamma",
     "is_partition_matrix",
     "kmeans_bruteforce",
     "canonical_relabel",
@@ -180,6 +181,13 @@ def kmeans_cost(points: PointSet, p: Partition) -> float:
         centroid = pts.mean(axis=0)
         cost += 2.0 * float(((pts - centroid) ** 2).sum())
     return cost
+
+
+def rounding_gamma(p: int) -> float:
+    """Higham's gamma_p = p u / (1 - p u), u = 2^-53: the relative error bound
+    of a p-term floating-point sum or dot product."""
+    pu = p * 2.0**-53
+    return pu / (1.0 - pu)
 
 
 def is_partition_matrix(x: np.ndarray, k: int, tol: float = 1e-6) -> bool:

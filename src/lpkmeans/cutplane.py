@@ -1,20 +1,24 @@
-"""Cutting-plane driver: seeded upper bound, LP solves with safe lower
-bounds, spectral rounding, slack-cut removal, separation with escalating set
-sizes, and gap-based termination."""
+"""Cutting-plane driver: seeded upper bound, the two-cluster pairwise check
+of the seed at K = 2, LP solves with safe lower bounds, spectral rounding,
+slack-cut removal, separation with escalating set sizes, and gap-based
+termination."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from lpkmeans.certify import proximity_check
 from lpkmeans.core import (
     Partition,
     PointSet,
     is_partition_matrix,
     kmeans_cost,
     lp_objective,
+    rounding_gamma,
     squared_distances,
     unpack_matrix,
 )
@@ -38,7 +42,8 @@ _DROP_PATIENCE = 2  # consecutive slack rounds before a cut is dropped
 # the floor.  It starts at 0.1, the rule's value at the start bound f_lb = 0
 # (r_g = 1): loose early rounds buy cuts, not digits.  It falls tenfold on a
 # stalled bound, and the converged and no-more-cuts decisions always run at
-# the floor.  Every bound comes from safe_lower_bound, whatever the tolerance.
+# the floor.  Every LP's bound comes from safe_lower_bound, whatever the
+# tolerance; a K = 2 seed that the pairwise check certifies needs no LP.
 _LP_TOL_START = 1e-1
 _LP_TOL_FLOOR = 1e-8
 
@@ -118,6 +123,7 @@ class SolveTrace:
     r_g: float = np.inf
     total_time: float = 0.0
     time_init: float = 0.0
+    certified: bool = False  # the pairwise check proved the seed optimal; no LP was solved
 
     @property
     def n_rounds(self) -> int:
@@ -157,10 +163,6 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
     k = cfg.k
     if not (2 <= k <= n):
         raise ValueError(f"need 2 <= K <= n, got K={k}, n={n}")
-    # loaded here, not at the first LP build, so that its import counts in
-    # time_init and not in round 1's time_build
-    import scipy.sparse  # noqa: F401
-
     p_init, p_max, escalation = cfg.resolved(n)
     t_limit = min(k, cfg.t_cap) if cfg.t_cap is not None else k
     d = squared_distances(points)
@@ -168,6 +170,24 @@ def solve_kmeans_lp(points: PointSet, cfg: SolveConfig) -> tuple[Partition, Solv
 
     lloyd_cfg = LloydConfig(seed=cfg.seed)
     incumbent = kmeanspp_lloyd(points, k, lloyd_cfg)
+    if k == 2:
+        report = proximity_check(d, incumbent[0])
+        if report.verdict == "holds_strict":
+            # every exact pair slack is positive, so the seed's partition
+            # matrix is the unique optimum of the K = 2 relaxation, of value
+            # sum_i d_in[i]: each d_in is a mean of at most n - 1 values >= 0
+            # and fsum rounds once, which 3 gamma_(n+1) covers
+            trace.status = "converged"
+            trace.tight = trace.certified = True
+            trace.f_lb = math.fsum(report.stats.d_in) * (1.0 - 3.0 * rounding_gamma(n + 1))
+            trace.f_ub = incumbent[1]
+            trace.r_g = gap(trace.f_ub, trace.f_lb)
+            trace.time_init = trace.total_time = time.monotonic() - t_begin
+            return incumbent[0], trace, True
+    # loaded here, not at the first LP build, so that its import counts in
+    # time_init and not in round 1's time_build
+    import scipy.sparse  # noqa: F401
+
     pool = active_cuts(incumbent[0], cap=p_init, seed=cfg.seed)
     trace.time_init = time.monotonic() - t_begin
 

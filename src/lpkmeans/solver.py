@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from lpkmeans.core import rounding_gamma
 from lpkmeans.lp_model import LpStandardForm
 
 # scipy.sparse is imported in solve; see lpkmeans.lp_model
@@ -61,13 +62,6 @@ class LpSolution:
     matvecs: int
 
 
-def _gamma(p: int) -> float:
-    """Higham's gamma_p = p u / (1 - p u), u = 2^-53: the relative error bound
-    of a p-term floating-point sum or dot product."""
-    pu = p * 2.0**-53
-    return pu / (1.0 - pu)
-
-
 def safe_lower_bound(lp: LpStandardForm, sol: LpSolution) -> float:
     """y.b - r.ub - e with r = max(A^T y + Q^T z - c, 0); valid for any y, z <= 0.
 
@@ -83,8 +77,8 @@ def safe_lower_bound(lp: LpStandardForm, sol: LpSolution) -> float:
              + np.bincount(lp.q.indices, minlength=lp.n_vars)).max())
     magnitude = abs(lp.a_eq).T @ np.abs(y) + abs(lp.q).T @ np.abs(z)
     err = 2.0 * (
-        _gamma(lp.a_eq.shape[0]) * (np.abs(y) @ np.abs(lp.b_eq))
-        + _gamma(lp.n_vars) * (r @ lp.ub) + _gamma(p + 2) * (magnitude @ lp.ub)
+        rounding_gamma(lp.a_eq.shape[0]) * (np.abs(y) @ np.abs(lp.b_eq))
+        + rounding_gamma(lp.n_vars) * (r @ lp.ub) + rounding_gamma(p + 2) * (magnitude @ lp.ub)
     )
     return float(y @ lp.b_eq - r @ lp.ub - err)
 

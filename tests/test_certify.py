@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+from fractions import Fraction
 import re
 import sys
 import threading
@@ -8,13 +9,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lpkmeans.certify
 from lpkmeans.certify import (
     PairValues,
     _pair_slacks,
+    _slack_error,
     certify,
     gamma_values,
     proximity_check,
@@ -160,13 +162,14 @@ def test_gamma_matches_oracle_random():
 
 
 @st.composite
-def two_cluster_instances(draw, max_size=8):
+def two_cluster_instances(draw, max_size=8, scale=st.integers(-3, 3)):
     """Points in two clusters of random, possibly unequal sizes down to a
-    single point, some of them duplicates of others."""
+    single point, some of them duplicates of others, at coordinate scale
+    2**``scale``."""
     sizes = (draw(st.integers(1, max_size)), draw(st.integers(1, max_size)))
     n = sum(sizes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    coords = rng.normal(scale=2.0 ** draw(st.integers(-3, 3)), size=(n, 2))
+    coords = rng.normal(scale=2.0 ** draw(scale), size=(n, 2))
     for _ in range(draw(st.integers(0, n // 2))):
         src, dst = rng.integers(n, size=2)
         coords[dst] = coords[src]
@@ -553,6 +556,44 @@ def test_proximity_verdict_invariant_under_scaling():
         assert rep.verdict == "holds_strict"
         assert rep.margin_small == 4.0**j * ref.margin_small
         assert rep.margin_large == 4.0**j * ref.margin_large
+
+
+def exact_pair_slacks(d, clusters):
+    """The slacks of _pair_slacks in exact rational arithmetic on the float
+    d, with exact r1, r2, d_in and eta, in the same cluster and pair order."""
+    g1, g2 = (c.tolist() for c in clusters)
+    n = len(g1) + len(g2)
+    dd = [[Fraction(v) for v in row] for row in d.tolist()]
+    r1, r2 = Fraction(2 * len(g1), n), Fraction(2 * len(g2), n)
+    d_in = {i: sum(dd[i][j] for j in grp) / len(grp) for grp in (g1, g2) for i in grp}
+    din1 = [d_in[i] for i in g1]
+    din2 = [d_in[i] for i in g2]
+    eta = (r2 / 2) * ((1 - r1 / r2) * max(din1) + (1 - r2 / r1) * min(din2)
+                      + (r1 / r2) * sum(din1) / len(din1) + (r2 / r1) * sum(din2) / len(din2))
+    out = []
+    for own, other, ratio, threshold in ((g1, g2, r2, eta), (g2, g1, r1, (r1 / r2) * eta)):
+        out.append([
+            sum(min(ratio * dd[a][k] - d_in[a], ratio * dd[b][k] - d_in[b]) for k in other)
+            / len(other) + d_in[a] + d_in[b] - dd[a][b] - threshold
+            for a, b in itertools.combinations(own, 2)
+        ])
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_cluster_instances(max_size=7, scale=st.sampled_from([-20, 0, 20])))
+def test_slacks_within_their_rounding_bound(instance):
+    # every computed slack lies within E of the exact slack of the same d,
+    # at coordinate scales 2**-20, 1 and 2**20 and on clusters of any sizes
+    d, assign = instance
+    assume(d.shape[0] <= 8)
+    p = Partition(2, assign)
+    stats = two_cluster_stats(d, p)
+    bound = Fraction(_slack_error(stats, p.n, float(np.abs(d).max())))
+    for computed, exact in zip(_pair_slacks(d, stats), exact_pair_slacks(d, stats.clusters)):
+        assert len(computed) == len(exact)
+        for value, reference in zip(computed.tolist(), exact):
+            assert abs(Fraction(value) - reference) <= bound
 
 
 def test_proximity_overlapping_fails():

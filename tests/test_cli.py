@@ -76,6 +76,8 @@ def test_solve_five_point_document(tmp_path, capsys):
     assert doc["f_ub"] == pytest.approx(F_KMEANS, abs=1e-9)
     assert doc["tight"] is False
     assert doc["status"] == "no_more_cuts"
+    # the pairwise check fails on this seed, so the LP rounds ran
+    assert doc["certified"] is False and doc["rounds"] >= 1
     assert doc["r_g"] == pytest.approx(0.0489237, abs=1e-3)
     assert len(doc["assignments"]) == 5
     for key in ("f_lb", "rounds", "timings", "config"):

@@ -1,9 +1,15 @@
+import math
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 import lpkmeans.cutplane as cutplane
+from lpkmeans.certify import proximity_check
 from lpkmeans.core import (
     PointSet,
     kmeans_cost,
@@ -104,6 +110,111 @@ def test_k2_solve_never_calls_the_exhaustive_separation(five_point, monkeypatch)
     assert trace.status == "no_more_cuts" and not tight
     assert trace.rounds[-1].exhaustive and trace.rounds[-1].violated_found == 0
     assert trace.rounds[-1].lp_tol == cutplane._LP_TOL_FLOOR
+
+
+def test_k2_certified_solve_builds_no_lp(monkeypatch):
+    # the pairwise check certifies the Lloyd seed: no LP is built or solved,
+    # and the bounds are the seed's cost and its rounding-safe LP value
+    def refuse(*args, **kwargs):
+        raise AssertionError("LP work in a certified solve")
+
+    monkeypatch.setattr(cutplane, "build", refuse)
+    monkeypatch.setattr(cutplane, "solve", refuse)
+    points, _ = generate(GenSpec("ssm", n=40, m=2, delta=3.0, seed=1))
+    p, trace, tight = solve_kmeans_lp(points, SolveConfig(k=2, seed=1))
+    assert trace.rounds == [] and trace.status == "converged"
+    assert tight and trace.tight and trace.certified
+    assert trace.f_ub == kmeans_cost(points, p)
+    assert 0.0 < trace.f_lb <= trace.f_ub
+    assert trace.r_g <= 1e-12
+
+
+class _LpStarted(Exception):
+    pass
+
+
+@st.composite
+def k2_draws(draw):
+    """n in [4, 14] points in R^m, m in [1, 3]: ssm / sbm draws with a
+    smaller cluster down to one point (r1 < 1) and their planted partition;
+    five_ball draws (n = 5 or 10, m = 3), on which the relaxation is not
+    tight; or Gaussian points, two blobs at a random distance with some
+    points repeated (all of them at one spot, at the extreme), and no
+    partition."""
+    n = draw(st.integers(4, 14))
+    m = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    model = draw(st.sampled_from(["ssm", "sbm", "five_ball", "gauss"]))
+    if model == "five_ball":
+        return generate(GenSpec(model, m=3, radius=draw(st.floats(0.0, 0.2)),
+                                n_prime=draw(st.integers(1, 2)), seed=seed))
+    if model != "gauss":
+        c1 = draw(st.integers(1, (n - 1) // 2))
+        return generate(GenSpec(model, n=n, m=m, delta=draw(st.floats(1.5, 6.0)),
+                                r1=2 * c1 / n, seed=seed))
+    rng = np.random.default_rng(seed)
+    spots = rng.normal(size=(n, m))
+    spots[: draw(st.integers(1, n - 1)), 0] += draw(st.floats(0.0, 8.0))
+    return PointSet(spots[rng.integers(draw(st.integers(1, n)), size=n)]), None
+
+
+def highs_optimum(d: np.ndarray) -> float:
+    """The optimum of the K = 2 relaxation with every pair cut, by HiGHS.
+    Its tolerances are absolute, so d is first scaled by the power of two
+    that brings its largest entry into [1, 2), which is exact both ways."""
+    scale = math.ldexp(1.0, 1 - math.frexp(d.max())[1]) if d.max() > 0.0 else 1.0
+    lp = build(d * scale, 2, all_cuts(d.shape[0], 2))
+    res = linprog(lp.c, A_ub=lp.q.toarray(), b_ub=np.zeros(lp.q.shape[0]),
+                  A_eq=lp.a_eq.toarray(), b_eq=lp.b_eq, bounds=(0, 1), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun) / scale
+
+
+def exact_lp_value(d: np.ndarray, assign: np.ndarray) -> Fraction:
+    """The LP value of a partition matrix, sum of d_ij / |C| over the
+    within-cluster pairs, in exact arithmetic on the float d."""
+    total = Fraction(0)
+    for label in np.unique(assign):
+        members = np.flatnonzero(assign == label)
+        total += sum(Fraction(v) for v in d[np.ix_(members, members)].ravel()) / members.size
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(k2_draws())
+def test_pairwise_check_sound_against_highs(draw):
+    # whenever the check certifies a partition, planted or the solve's Lloyd
+    # seed, the relaxation's optimum is that partition's LP value, and the
+    # certified solve's bounds enclose it; a solve the check does not
+    # certify is stopped where its LP work would begin
+    points, planted = draw
+    d = squared_distances(points)
+    certified = []
+    if planted is not None:
+        rep = proximity_check(d, planted)
+        if rep.verdict == "holds_strict":
+            certified.append(rep)
+    with mock.patch.object(cutplane, "active_cuts", side_effect=_LpStarted):
+        try:
+            p, trace, tight = solve_kmeans_lp(points, SolveConfig(k=2))
+        except _LpStarted:
+            trace = None
+    if trace is not None:
+        assert trace.certified and tight and trace.status == "converged" and not trace.rounds
+        rep = proximity_check(d, p)
+        assert rep.verdict == "holds_strict"
+        certified.append(rep)
+    if not certified:
+        return
+    optimum = highs_optimum(d)
+    for rep in certified:
+        value = math.fsum(rep.stats.d_in)
+        assert abs(optimum - value) <= 1e-9 * value
+    if trace is not None:
+        # HiGHS's own optimum is good to its tolerances only; the bounds must
+        # enclose the exact optimum, the certified partition's exact LP value
+        exact = exact_lp_value(d, p.assign)
+        assert Fraction(trace.f_lb) <= exact <= Fraction(trace.f_ub) * (1 + Fraction(1e-12))
 
 
 def test_singletons_one_round_tight():
@@ -278,10 +389,11 @@ def test_mixed_size_pool_k3_default_config(monkeypatch):
 
 
 # Small instances on both sides of tightness, K = 2 and 3: the working
-# tolerance changes the rounds, never the answer.
+# tolerance changes the rounds, never the answer.  The K = 2 seeds all fail
+# the pairwise check (at delta 3.0 it certifies the seed and no LP is solved).
 LOOSE_START_CORPUS = {
     **{f"ssm-n40-d{delta}-k2": (dict(model="ssm", n=40, m=2, delta=delta, seed=1), 2)
-       for delta in (1.8, 2.2, 3.0)},
+       for delta in (1.8, 2.2, 2.6)},
     "ssm-n30-d2.5-k3": (dict(model="ssm", n=30, m=2, delta=2.5, seed=1), 3),
     "five_ball-np6-k2": (dict(model="five_ball", m=3, radius=0.1, n_prime=6, seed=1), 2),
     "five_ball-np6-k3": (dict(model="five_ball", m=3, radius=0.1, n_prime=6, seed=1), 3),
@@ -329,14 +441,18 @@ def test_default_tolerance_path(instance, seed):
     # the default config: round 1 at 0.1, later rounds at no more than
     # 0.1 r_g of the round before, and every final decision at the floor;
     # "no more cuts" is a proof, an exhaustive separation at the floor
+    # (a K = 2 seed that the pairwise check certifies solves no LP at all)
     points, k = instance
     cfg = SolveConfig(k=k, seed=seed)
     _, trace, _ = solve_kmeans_lp(points, cfg)
     floor = cutplane._LP_TOL_FLOOR
-    assert trace.rounds[0].lp_tol == 0.1
+    if trace.certified:
+        assert k == 2 and not trace.rounds and trace.status == "converged" and trace.tight
+    else:
+        assert trace.rounds[0].lp_tol == 0.1
     for prev, cur in zip(trace.rounds, trace.rounds[1:]):
         assert cur.lp_tol <= max(floor, 0.1 * prev.r_g)
-    if trace.status in ("converged", "no_more_cuts"):
+    if trace.status in ("converged", "no_more_cuts") and not trace.certified:
         assert trace.rounds[-1].lp_tol == floor
     if trace.status == "no_more_cuts":
         assert trace.rounds[-1].exhaustive
